@@ -70,7 +70,7 @@ def test_bench_fuzz_throughput():
         ],
         rows,
         notes=[
-            "Seed 'bench'; oracle = validate + incremental/fresh + fast/legacy/"
+            "Seed 'bench'; oracle = validate + one-shot reference + fast/legacy/"
             "explicit engines + trace replay; --jobs differential every 10th case.",
         ],
     )

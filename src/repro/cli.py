@@ -86,30 +86,6 @@ def _add_option_flags(parser):
         help="keep (rather than invalidate) predicates whose WP dereferences a constant",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="fresh prover state per cube instead of the incremental "
-        "assumption-based session (the pre-session baseline)",
-    )
-    parser.add_argument(
-        "--strengthen",
-        choices=("allsat", "cubes"),
-        default="allsat",
-        help="strengthening strategy for the F/G cube searches: 'allsat' "
-        "answers the SAT-side cube queries from an incremental model "
-        "sweep (default, fastest measured); 'cubes' decides every cube "
-        "with the prover (the baseline); the boolean program is "
-        "byte-identical either way",
-    )
-    parser.add_argument(
-        "--no-theory-incremental",
-        action="store_true",
-        help="stateless theory consistency check per query instead of the "
-        "per-session incremental engine (delta-closure difference bounds "
-        "+ cached reference fallback); verdicts and boolean programs are "
-        "identical either way",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=0,
@@ -224,9 +200,6 @@ def _options_from(args):
         enforce_cube_length=args.enforce_cube_length,
         use_alias_analysis=not args.no_alias,
         invalidate_constant_derefs=not args.no_invalidate_derefs,
-        incremental_cubes=not args.no_incremental,
-        theory_incremental=not args.no_theory_incremental,
-        strengthen=args.strengthen,
         jobs=max(args.jobs, 0),
         bebop_legacy=args.bebop_legacy,
         bebop_reuse=not args.no_bebop_reuse,

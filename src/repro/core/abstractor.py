@@ -26,11 +26,14 @@ per-procedure ``enforce`` computations become tasks for the engine
 context's persistent :class:`repro.core.pool.StatementPool`: workers are
 forked once and re-targeted per run with a configure message, so CEGAR
 iterations reuse warm worker processes (and their prover caches) instead
-of paying a fork per abstraction.  The translated pieces, prover
-statistics, learned cache entries, analysis counters, process-wide
-SAT/CNF construction counters, and events are merged back in task
-order, so the output program, the stats totals, and the event stream
-are identical to a serial run.
+of paying a fork per abstraction.  The cross-iteration statement cache
+(:mod:`repro.analysis.reuse`) is consulted in the parent before any
+task is built, so only the statements it misses reach the workers, and
+their translations are recorded on the way back.  The translated
+pieces, prover statistics, learned cache entries, analysis counters,
+process-wide SAT/CNF construction counters, and events are merged back
+in task order, so the output program, the stats totals, and the event
+stream are identical to a serial run.
 """
 
 from repro.cfront import cast as C
@@ -100,13 +103,12 @@ class C2bp:
                 ensure_analysis_stats(self.context),
             )
         # Cross-iteration statement-abstraction cache (CEGAR hands one
-        # in); only the serial path consults it.
+        # in); the serial and the pool path both consult it.
         self.reuse = reuse if self.analysis is not None else None
         if (
             self.reuse is None
             and self.analysis is not None
             and getattr(self.context, "store", None) is not None
-            and (getattr(self.options, "jobs", 1) or 1) <= 1
         ):
             # A persistent store is configured: even a one-shot run reads
             # and populates the cross-run statement cache (the warm-run
@@ -332,29 +334,45 @@ class C2bp:
             # enforce computations happen here, in the parent — the Ω
             # expressions ship to the workers in the configure payload,
             # which replay compute_liveness to identical facts instead of
-            # racing on enforce tasks.
+            # racing on enforce tasks.  Reuse lookups and records happen
+            # here too; only the misses go to the pool.
+            live = self.analysis is not None and self.analysis.live_enabled
             precomputed = {}
-            if self.analysis is not None and self.analysis.live_enabled:
-                for func in funcs:
-                    before = self.prover.stats.calls
-                    enforce = None
-                    scope = self.predicates.in_scope(func.name)
-                    if self.options.compute_enforce and scope:
-                        enforce = self.search.enforce_expr(scope)
-                    self.analysis.compute_liveness(func.name, enforce)
-                    precomputed[func.name] = (
-                        enforce,
-                        self.prover.stats.calls - before,
-                    )
-            tasks = []
             for func in funcs:
-                for index in range(len(func.body)):
+                before = self.prover.stats.calls
+                enforce = None
+                scope = self.predicates.in_scope(func.name)
+                if self.options.compute_enforce and scope:
+                    hit = False
+                    if self.reuse is not None:
+                        enforce_key = self.analysis.enforce_key(func.name)
+                        hit, enforce = self.reuse.fetch_enforce(enforce_key)
+                    if not hit:
+                        if not live:
+                            continue  # an enforce task computes it
+                        enforce = self.search.enforce_expr(scope)
+                        if self.reuse is not None:
+                            self.reuse.store_enforce(enforce_key, enforce)
+                if self.analysis is not None:
+                    self.analysis.compute_liveness(func.name, enforce)
+                precomputed[func.name] = (
+                    enforce,
+                    self.prover.stats.calls - before,
+                )
+            tasks = []
+            reused = {}  # (func name, index) -> cached statement payload
+            stmt_keys = {}  # (func name, index) -> reuse key of a miss
+            for func in funcs:
+                for index, stmt in enumerate(func.body):
+                    if self.reuse is not None:
+                        key = self.analysis.statement_key(func, index, stmt)
+                        payload = self.reuse.fetch(key)
+                        if payload is not None:
+                            reused[(func.name, index)] = payload
+                            continue
+                        stmt_keys[(func.name, index)] = key
                     tasks.append(("stmt", func.name, index))
-                if (
-                    func.name not in precomputed
-                    and self.options.compute_enforce
-                    and self.predicates.in_scope(func.name)
-                ):
+                if func.name not in precomputed:
                     tasks.append(("enforce", func.name, -1))
             results = []
             if tasks:
@@ -378,14 +396,18 @@ class C2bp:
                 pool.shipped_cache_watermark = len(self.prover.cache)
                 results = pool.run(tasks)
             merged = {
-                func.name: {"parts": [], "enforce": None, "calls": 0}
+                func.name: {"parts": {}, "enforce": None, "calls": 0}
                 for func in funcs
             }
             for func_name, (enforce, calls) in precomputed.items():
                 merged[func_name]["enforce"] = enforce
                 merged[func_name]["calls"] += calls
+            for (func_name, index), payload in reused.items():
+                for name, value in payload["c2bp"].items():
+                    setattr(self.stats, name, getattr(self.stats, name) + value)
+                merged[func_name]["parts"][index] = payload
             for task, result in zip(tasks, results):
-                kind, func_name, _ = task
+                kind, func_name, index = task
                 self.prover.stats.merge(result["prover"])
                 self.prover.cache.absorb(result["cache"])
                 # Fold the workers' read-only store accounting into the
@@ -420,24 +442,39 @@ class C2bp:
                     self.context.events.emit(event["kind"], **data)
                 merged[func_name]["calls"] += result["prover"]["calls"]
                 if kind == "stmt":
-                    merged[func_name]["parts"].append(result)
+                    key = stmt_keys.get((func_name, index))
+                    if key is not None:
+                        self.reuse.store(
+                            key,
+                            result["stmts"],
+                            result["temps"],
+                            result["temp_meanings"],
+                            result["c2bp"],
+                        )
+                    merged[func_name]["parts"][index] = result
                 else:
                     merged[func_name]["enforce"] = result["enforce"]
+                    if self.reuse is not None:
+                        self.reuse.store_enforce(
+                            self.analysis.enforce_key(func_name), result["enforce"]
+                        )
             for func in funcs:
                 entry = merged[func.name]
                 body = []
                 renamed_temps = []
                 mapping = {}
-                for part in entry["parts"]:
-                    # Worker temp names are task-namespaced (__rw<stmt>_<k>);
+                for index in sorted(entry["parts"]):
+                    part = entry["parts"][index]
+                    # Temp names are statement-namespaced (__rw<stmt>_<k>
+                    # from workers, __rc<stmt>_<k> from the reuse cache);
                     # renumber to the serial __r<N> scheme in first-use order.
-                    for worker_name in part["temps"]:
+                    for site_name in part["temps"]:
                         final_name = "__r%d" % len(renamed_temps)
-                        mapping[worker_name] = final_name
+                        mapping[site_name] = final_name
                         renamed_temps.append(final_name)
                     body.extend(part["stmts"])
-                    for (_, worker_name), meaning in part["temp_meanings"]:
-                        self.temp_meanings[(func.name, mapping[worker_name])] = (
+                    for site_name, meaning in part["temp_meanings"]:
+                        self.temp_meanings[(func.name, mapping[site_name])] = (
                             meaning
                         )
                 if mapping:

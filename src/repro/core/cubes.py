@@ -19,24 +19,18 @@ exponentially many; the Section 5.2 optimizations implemented here are:
 - the syntactic shortcut returns the variable directly when ``φ`` (or its
   negation) is literally a predicate of ``V``.
 
-*How* the cube space is explored is a pluggable
-:class:`StrengtheningStrategy`:
-
-- :class:`CubeEnumerationStrategy` — the paper's increasing-length
-  enumeration with superset pruning, every verdict one prover decide;
-- :class:`AllSatStrategy` — the same enumeration order (so the kept cube
-  lists, and hence the printed boolean program, are byte-identical), but
-  backed by a :class:`repro.prover.allsat.ModelCatalog`: one incremental
-  AllSAT sweep enumerates theory-validated models of ``¬φ ∧ axioms``
-  projected onto the candidates, and each stored projection answers all
-  the SAT-side cube queries it covers with a tuple comparison instead of
-  a solver + theory-check loop.
-
-The strategy also owns the session policy (satellite of the refactor):
-whether sessions keep and validate assumption cores.  Throwaway
-per-query sessions of the non-incremental baseline never read their
-cores, so the strategy opens them with ``want_cores=False`` and the
-audited core-validation code path lives only in the place that uses it.
+Every search opens one :class:`repro.prover.interface.CubeProverSession`
+per goal and runs the same enumeration: cubes in increasing length with
+superset pruning.  On a backend with the incremental cube capability the
+session answers every cube from one encode-once solver under selector
+assumptions, shrinks each UNSAT answer to its assumption core (so one
+query can prune strictly more supersets), and consults an AllSAT
+:class:`repro.prover.allsat.ModelCatalog` that answers the SAT-side cube
+queries from swept, theory-validated model projections.  On a backend
+with only the one-shot checks every cube is a fresh ``check_implication``
+call — the paper's Simplify/Vampyre seam, and the reference the fuzz
+oracle compares the incremental answers against.  Both print the same
+boolean program.
 """
 
 import itertools
@@ -44,7 +38,6 @@ import itertools
 from repro.cfront import cast as C
 from repro.cfront.exprutils import fold_constants, is_trivially_false, is_trivially_true
 from repro.boolprog import ast as B
-from repro.prover.allsat import ModelCatalog
 
 
 class Cube(tuple):
@@ -58,34 +51,29 @@ _KEEP = "keep"
 _PRUNE = "prune"
 
 
-class StrengtheningStrategy:
-    """How a :class:`CubeSearch` explores the cube space.
+class CubeSearch:
+    """Shared machinery for F/G computations against one prover."""
 
-    A strategy owns session opening (incrementality, core policy, model
-    catalog) and the enumeration loops behind :meth:`CubeSearch.implicant_cubes`
-    and :meth:`CubeSearch.inconsistent_cubes`.  All strategies must
-    return identical kept-cube lists — they differ only in how many
-    prover decides it takes to get there."""
+    def __init__(self, prover, options, events=None, discharger=None):
+        self.prover = prover
+        self.options = options
+        self.events = events
+        # Optional pre-prover query discharger (the interval abstract
+        # interpreter): decides a cube implication without any SAT call
+        # when cheap arithmetic propagation already settles it.  Sound
+        # and strictly weaker than the prover, so enabling it changes
+        # prover traffic but never a search outcome.
+        self.discharger = discharger
 
-    name = "?"
+    def _cube_session(self, candidates, goal):
+        """A cube-decision session over the candidates' concretizations
+        against ``goal``."""
+        return self.prover.cube_session(
+            [candidate.expr for candidate in candidates], goal
+        )
 
-    def open_session(self, search, candidates, goal):
-        raise NotImplementedError
-
-    def search_implicants(self, search, candidates, phi, limit):
-        raise NotImplementedError
-
-    def search_inconsistent(self, search, candidates, limit):
-        raise NotImplementedError
-
-
-class CubeEnumerationStrategy(StrengtheningStrategy):
-    """The paper's Section 5.2 search: enumerate cubes in increasing
-    length with superset pruning, one prover decide per undecided cube."""
-
-    name = "cubes"
-
-    def _enumerate(self, candidates, limit, classify):
+    @staticmethod
+    def _enumerate(candidates, limit, classify):
         """The shared pruning enumeration.
 
         Cubes are enumerated in increasing length; any cube containing an
@@ -118,130 +106,11 @@ class CubeEnumerationStrategy(StrengtheningStrategy):
                         pruned.append(record)
         return kept
 
-    def open_session(self, search, candidates, goal):
-        """A cube-decision session over the candidates' concretizations
-        against ``goal`` (incremental when enabled and the backend
-        supports it; fresh per-cube queries otherwise)."""
-        return search.prover.cube_session(
-            [candidate.expr for candidate in candidates],
-            goal,
-            incremental=getattr(search.options, "incremental_cubes", True),
-            theory_incremental=getattr(
-                search.options, "theory_incremental", True
-            ),
-        )
-
-    def search_implicants(self, search, candidates, phi, limit):
-        # The validity precheck is the empty-cube decision; it shares the
-        # cache key with Prover.is_valid(phi) and warms the session whose
-        # solver state every subsequent cube of this call reuses.
-        implies_phi = self.open_session(search, candidates, phi)
-        valid, _ = search._decide(implies_phi, ())
-        if valid:
-            return [Cube()]
-        implies_not_phi = self.open_session(search, candidates, C.negate(phi))
-        # The mirror precheck: an unsatisfiable φ is implied only by cubes
-        # that are themselves inconsistent — every one a false disjunct, so
-        # F(φ) is false without enumerating.  Deciding this up front also
-        # keeps the engines aligned: the incremental session would refute
-        # each cube with an *empty* assumption core (pruning everything),
-        # while a fresh-query baseline keeps the vacuous implicants it
-        # happens to test first.
-        refuted, _ = search._decide(implies_not_phi, ())
-        if refuted:
-            return []
-
-        def classify(cube):
-            result, record = search._cube_query(implies_phi, cube, "implicant")
-            if result:
-                return _KEEP, record
-            result, record = search._cube_query(implies_not_phi, cube, "refute")
-            if result:
-                return _PRUNE, record
-            return None, None
-
-        return self._enumerate(candidates, limit, classify)
-
-    def search_inconsistent(self, search, candidates, limit):
-        session = self.open_session(search, candidates, C.IntLit(0))
-
-        def classify(cube):
-            result, record = search._cube_query(session, cube, "inconsistent")
-            if result:
-                return _KEEP, record
-            return None, None
-
-        return self._enumerate(candidates, limit, classify)
-
-
-class AllSatStrategy(CubeEnumerationStrategy):
-    """Cube enumeration backed by AllSAT model catalogs.
-
-    Same enumeration order and prover-decide semantics as
-    :class:`CubeEnumerationStrategy` — the outputs are byte-identical —
-    but every session carries a :class:`ModelCatalog` whose one-time
-    model sweep answers the SAT-side cube queries (the bulk of a
-    strengthening call) without touching the solver or the theory
-    checker.  Requires the backend's incremental cube capability; the
-    ``incremental_cubes`` knob is ignored (there is no fresh-per-query
-    variant of a model sweep)."""
-
-    name = "allsat"
-
-    def open_session(self, search, candidates, goal):
-        return search.prover.cube_session(
-            [candidate.expr for candidate in candidates],
-            goal,
-            incremental=True,
-            catalog=ModelCatalog(),
-            theory_incremental=getattr(
-                search.options, "theory_incremental", True
-            ),
-        )
-
-
-_STRATEGIES = {
-    CubeEnumerationStrategy.name: CubeEnumerationStrategy,
-    AllSatStrategy.name: AllSatStrategy,
-}
-
-
-def make_strategy(spec):
-    """Resolve a strategy: a name from ``C2bpOptions.strengthen``, a
-    strategy instance (passes through), or ``None`` (the default)."""
-    if isinstance(spec, StrengtheningStrategy):
-        return spec
-    if spec is None:
-        spec = "allsat"
-    try:
-        return _STRATEGIES[spec]()
-    except KeyError:
-        raise ValueError(
-            "unknown strengthening strategy %r (available: %s)"
-            % (spec, ", ".join(sorted(_STRATEGIES)))
-        ) from None
-
-
-class CubeSearch:
-    """Shared machinery for F/G computations against one prover."""
-
-    def __init__(self, prover, options, events=None, discharger=None):
-        self.prover = prover
-        self.options = options
-        self.events = events
-        # Optional pre-prover query discharger (the interval abstract
-        # interpreter): decides a cube implication without any SAT call
-        # when cheap arithmetic propagation already settles it.  Sound
-        # and strictly weaker than the prover, so enabling it changes
-        # prover traffic but never a search outcome.
-        self.discharger = discharger
-        self.strategy = make_strategy(getattr(options, "strengthen", None))
-
     def _decide(self, session, cube):
         """One cube implication, tried against the discharger first.
         A discharged decision reports no assumption core — the keep-side
-        record is then the cube itself, exactly what a fresh-query
-        baseline records.  Discharged answers are tallied under their own
+        record is then the cube itself, exactly what a one-shot backend
+        records.  Discharged answers are tallied under their own
         ``queries_discharged`` stats key, before any prover timer starts,
         so they do not read as zero-time generalize entries in the
         per-query time attribution."""
@@ -284,7 +153,35 @@ class CubeSearch:
         limit = max_length
         if limit is None:
             limit = self.options.max_cube_length
-        return self.strategy.search_implicants(self, candidates, phi, limit)
+        # The validity precheck is the empty-cube decision; it shares the
+        # cache key with Prover.is_valid(phi) and warms the session whose
+        # solver state every subsequent cube of this call reuses.
+        implies_phi = self._cube_session(candidates, phi)
+        valid, _ = self._decide(implies_phi, ())
+        if valid:
+            return [Cube()]
+        implies_not_phi = self._cube_session(candidates, C.negate(phi))
+        # The mirror precheck: an unsatisfiable φ is implied only by cubes
+        # that are themselves inconsistent — every one a false disjunct, so
+        # F(φ) is false without enumerating.  Deciding this up front also
+        # keeps the backends aligned: an incremental session would refute
+        # each cube with an *empty* assumption core (pruning everything),
+        # while one-shot queries keep the vacuous implicants they happen
+        # to test first.
+        refuted, _ = self._decide(implies_not_phi, ())
+        if refuted:
+            return []
+
+        def classify(cube):
+            result, record = self._cube_query(implies_phi, cube, "implicant")
+            if result:
+                return _KEEP, record
+            result, record = self._cube_query(implies_not_phi, cube, "refute")
+            if result:
+                return _PRUNE, record
+            return None, None
+
+        return self._enumerate(candidates, limit, classify)
 
     def _syntactic_shortcut(self, candidates, phi):
         for index, candidate in enumerate(candidates):
@@ -335,7 +232,15 @@ class CubeSearch:
         """Minimal cubes whose concretizations are unsatisfiable — the
         ``F_V(false)`` computation, done directly (the constant-folding
         shortcuts of :meth:`implicant_cubes` would collapse it)."""
-        return self.strategy.search_inconsistent(self, candidates, max_length)
+        session = self._cube_session(candidates, C.IntLit(0))
+
+        def classify(cube):
+            result, record = self._cube_query(session, cube, "inconsistent")
+            if result:
+                return _KEEP, record
+            return None, None
+
+        return self._enumerate(candidates, max_length, classify)
 
     def enforce_expr(self, candidates):
         """``Ω = ¬F_V(false)``: rules out predicate valuations whose

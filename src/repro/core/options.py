@@ -3,6 +3,12 @@
 Every optimization can be toggled off so the ablation benchmarks can
 measure its effect on the number of theorem prover calls; defaults match
 the configuration the paper reports results with.
+
+How the prover answers the cube queries is not a knob: every F/G and
+enforce search runs one incremental cube session per goal (assumption
+cores, an AllSAT model catalog, the incremental theory engine), and the
+fuzz oracle checks it against one-shot queries
+(:class:`repro.fuzz.oracle.ReferenceBackend`).
 """
 
 import dataclasses
@@ -52,32 +58,6 @@ class C2bpOptions:
     #: ``prev = NULL`` the predicate ``prev->val > v`` mentions ``0->val``
     #: and is "undefined ... and thus invalidated" (Section 2.1).
     invalidate_constant_derefs: bool = True
-
-    #: Answer the cube queries of one F/G strengthening call on a single
-    #: persistent SAT solver via assumption literals (encode once, reuse
-    #: learned clauses and theory lemmas across cubes) instead of a fresh
-    #: encode-and-solve per cube.  Off is the pre-session baseline.
-    #: Only consulted by the ``cubes`` strengthening strategy; ``allsat``
-    #: always runs incrementally (a model sweep has no per-query form).
-    incremental_cubes: bool = True
-
-    #: Strengthening strategy for the F/G cube searches
-    #: (:mod:`repro.core.cubes`): ``"allsat"`` (the default — the cube
-    #: enumeration backed by an AllSAT model catalog that answers the
-    #: SAT-side cube queries from swept, theory-validated model
-    #: projections) or ``"cubes"`` (every verdict a prover decide; the
-    #: measured baseline).  The kept cubes, and hence the printed boolean
-    #: program, are byte-identical either way.
-    strengthen: str = "allsat"
-
-    #: Answer the theory consistency checks of one cube session on a
-    #: persistent :class:`repro.prover.theory.IncrementalTheory` engine
-    #: (difference-bound delta closure for the arithmetic fragment, a
-    #: cached reference pipeline for the rest) instead of a stateless
-    #: check per query.  Verdicts are identical either way (the fuzz
-    #: oracle's ``theory-divergence`` check pins this); off is the
-    #: ``--no-theory-incremental`` escape hatch and benchmark baseline.
-    theory_incremental: bool = True
 
     #: Worker processes for statement abstraction; 0 (the default) picks
     #: automatically from ``os.cpu_count()`` when the

@@ -38,7 +38,7 @@ import os
 import signal
 import traceback
 
-#: Cap for the auto-selected worker count.  BENCH_strengthen puts the
+#: Cap for the auto-selected worker count.  Measurements put the
 #: pool's configure/serialize overhead at roughly a quarter of a small
 #: corpus run, so scaling past a handful of workers stops paying long
 #: before typical core counts do; four is where the measured crossover
@@ -312,7 +312,11 @@ class _WorkerState:
             "calls_abstracted": tool.stats.calls_abstracted,
             "conditionals_abstracted": tool.stats.conditionals_abstracted,
         }
-        payload["temp_meanings"] = list(tool.temp_meanings.items())
+        # Same shape as a reuse-cache payload: (temp name, meaning) pairs.
+        payload["temp_meanings"] = [
+            (temp_name, meaning)
+            for (_, temp_name), meaning in tool.temp_meanings.items()
+        ]
         if analysis_before is not None:
             payload["analysis"] = {
                 name: value - analysis_before[name]

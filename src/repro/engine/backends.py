@@ -13,19 +13,19 @@ seam.  A *backend* is any object implementing:
 
 Backends may additionally implement the *incremental cube* capability:
 
-- ``open_cube_session(candidates, goal, want_cores=True) -> session`` —
-  a session object deciding cubes over the fixed candidate set against
-  the fixed goal via ``decide(cube) -> (Satisfiability, core)`` with
-  persistent solver state (see
-  :class:`repro.prover.incremental.IncrementalCubeSession`).  A backend
-  without the method (or returning ``None``) makes the engine fall back
-  to fresh per-cube ``check_implication`` calls.  ``want_cores=False``
-  asks the session to skip assumption-core mapping (the engine passes it
-  for throwaway sessions whose cores nobody reads; backends predating
-  the keyword are still called positionally).  Sessions that also
-  provide ``enumerate_models(max_models)`` support the AllSAT
-  strengthening strategy's model catalog; the engine degrades to plain
-  cube enumeration without it.
+- ``open_cube_session(candidates, goal) -> session`` — a session object
+  deciding cubes over the fixed candidate set against the fixed goal
+  with persistent solver state (see
+  :class:`repro.prover.incremental.IncrementalCubeSession`).  A session
+  provides ``decide(cube) -> (Satisfiability, core)`` (``core`` the
+  sub-cube that forces an UNSAT answer, else ``None``),
+  ``enumerate_models(max_models) -> (projections, solves)`` (the AllSAT
+  sweep behind :class:`repro.prover.allsat.ModelCatalog`), and
+  ``counters() -> dict`` (the per-session tallies the prover folds into
+  its stats, ``decides`` among them).  A backend without the method
+  answers every cube with a one-shot ``check_implication`` call, the
+  paper's Simplify/Vampyre seam; both paths print the same boolean
+  program.
 
 Backends register under a string name so configuration (CLI flags,
 :class:`repro.engine.EngineContext`) can select them without importing
@@ -74,7 +74,9 @@ class ProverBackend:
     """Documentation base class for the backend protocol.
 
     Subclassing is optional — any object with the three members works —
-    but inheriting gives early errors for missing methods.
+    but inheriting gives early errors for missing methods.  The optional
+    ``open_cube_session`` capability is deliberately absent here: a
+    backend opts into it by defining the method.
     """
 
     name = "abstract"
@@ -84,8 +86,3 @@ class ProverBackend:
 
     def check_satisfiable(self, exprs):
         raise NotImplementedError
-
-    def open_cube_session(self, candidates, goal, want_cores=True):
-        """Optional capability: an incremental cube-decision session, or
-        ``None`` when the backend only supports one-shot queries."""
-        return None

@@ -23,8 +23,9 @@ import time
 #: Version of the ``--stats-json`` layout, carried at the top level of
 #: every snapshot.  Bump on breaking changes to section names or field
 #: meanings; documented in docs/PERFORMANCE.md.  Version 2 added the
-#: field itself plus the ``persistent_cache`` section.
-SCHEMA_VERSION = 2
+#: field itself plus the ``persistent_cache`` section; version 3 renamed
+#: the prover's ``time_in_theory_cache`` to ``time_in_theory_fallback``.
+SCHEMA_VERSION = 3
 
 
 class PhaseAccumulator:

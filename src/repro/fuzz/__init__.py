@@ -9,8 +9,8 @@ machines, not by curated examples.  The subsystem has three parts:
   asserts) with predicate sets biased toward the programs' own guards;
 - :mod:`repro.fuzz.oracle` — the trace-inclusion oracle (concrete
   execution replayed through the abstraction) plus cross-engine
-  differentials (incremental vs fresh cubes, serial vs ``--jobs``,
-  Bebop fast vs legacy vs explicit-state);
+  differentials (incremental cube engine vs one-shot reference, serial
+  vs ``--jobs``, Bebop fast vs legacy vs explicit-state);
 - :mod:`repro.fuzz.shrink` — a delta-debugging shrinker that minimizes
   any failing case, for check-in under ``tests/corpus/``.
 

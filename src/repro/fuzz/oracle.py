@@ -6,13 +6,14 @@ For one :class:`repro.fuzz.gen.FuzzCase` the oracle checks, in order:
 1. **Well-formedness** — the abstraction (run with ``validate_output``)
    must produce a boolean program :mod:`repro.boolprog.validate` accepts;
 2. **Abstraction determinism** — the printed ``BP(P, E)`` must be
-   byte-identical between the incremental cube engine and the
-   ``--no-incremental`` baseline, between the ``allsat`` and ``cubes``
-   strengthening strategies, between the incremental theory engine and
-   the ``--no-theory-incremental`` stateless checker, between the
+   byte-identical between the pipeline and a *reference* abstraction
+   whose prover backend (:class:`ReferenceBackend`) offers only the
+   one-shot checks, so every cube is a fresh ``check_implication`` with
+   the stateless theory checker — no incremental session, no assumption
+   cores, no AllSAT catalog, no incremental theory engine; between the
    uncached pipeline and a cold then warm content-addressed
    ``--cache-dir`` store (which must also preserve the model-checking
-   verdict through the compiled-table round trip), and (on a
+   verdict through the compiled-table round trip); and (on a
    configurable stride, since a fork pool per case is costly) between
    ``--jobs 1`` and ``--jobs 2``;
 3. **Engine agreement** — Bebop's compiled fast path and the
@@ -58,19 +59,40 @@ from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.core.predicates import PredicateParseError
 from repro.core.replay import TraceReplayer
 from repro.engine import EngineContext
+from repro.prover import DpllTBackend
 
 #: Failure kinds, from most to least interesting.
 KIND_SOUNDNESS = "soundness"          # Theorem-1 replay violation
 KIND_ENGINE = "engine-divergence"     # fast / legacy / explicit disagree
 KIND_BMC = "bmc-divergence"           # bit-precise BMC / pipeline disagree
 KIND_ANALYSIS = "analysis-divergence"  # analysis on/off disagree
-KIND_ABSTRACTION = "abstraction-divergence"  # incremental / jobs text differs
-KIND_STRENGTHEN = "strengthen-divergence"  # allsat / cubes strategies differ
-KIND_THEORY = "theory-divergence"     # incremental / stateless theory differ
+KIND_ABSTRACTION = "abstraction-divergence"  # reference / jobs text differs
 KIND_CACHE = "cache-divergence"       # persistent cache changed bytes/verdict
 KIND_INVALID_BP = "invalid-bp"        # validator rejected BP(P, E)
 KIND_GENERATOR = "generator-invalid"  # case does not parse / typecheck
 KIND_INTERP = "interp-error"          # concrete execution trapped
+
+
+class ReferenceBackend:
+    """The built-in DPLL(T) stack behind the one-shot checks only.
+
+    Without ``open_cube_session`` the prover answers every cube query
+    with a fresh ``check_implication``: the query is translated and
+    encoded from scratch and its theory checks run the stateless
+    :func:`repro.prover.theory.check_literals`.  An abstraction through
+    this backend is the oracle's reference for the incremental cube
+    engine."""
+
+    name = "reference"
+
+    def __init__(self):
+        self._backend = DpllTBackend()
+
+    def check_implication(self, antecedents, consequent):
+        return self._backend.check_implication(antecedents, consequent)
+
+    def check_satisfiable(self, exprs):
+        return self._backend.check_satisfiable(exprs)
 
 
 class CaseReport:
@@ -158,53 +180,21 @@ class SoundnessOracle:
         report.prover_calls = tool.stats.prover_calls
         printed = print_bool_program(boolean_program)
 
-        # The AllSAT catalog must be answer-invisible: the ``cubes``
-        # strategy (every verdict a prover decide) prints the same bytes.
-        # Checked before the fresh baseline so a catalog bug is reported
-        # as strengthen-divergence, not generic abstraction-divergence.
-        _, cubes_bp = self._abstract(
+        # The incremental cube engine must be answer-invisible: answering
+        # every cube with a one-shot query prints the same bytes.  Pinned
+        # to one job, because pool workers build their own default
+        # backend.
+        _, reference_bp = self._abstract(
             program, predicates,
-            self.make_options(validate_output=True, strengthen="cubes"),
+            self.make_options(validate_output=True, jobs=1),
+            backend=ReferenceBackend(),
         )
-        cubes_printed = print_bool_program(cubes_bp)
-        if cubes_printed != printed:
-            return report.fail(
-                KIND_STRENGTHEN,
-                "allsat and cubes strengthening boolean programs differ:\n"
-                + _first_diff(printed, cubes_printed),
-            )
-        # The incremental theory engine must be answer-invisible: pinning
-        # every theory check to the stateless reference prints the same
-        # bytes.  Checked before the fresh baseline so a delta-closure or
-        # session-cache bug is reported as theory-divergence, not generic
-        # abstraction-divergence.
-        _, stateless_bp = self._abstract(
-            program, predicates,
-            self.make_options(validate_output=True, theory_incremental=False),
-        )
-        stateless_printed = print_bool_program(stateless_bp)
-        if stateless_printed != printed:
-            return report.fail(
-                KIND_THEORY,
-                "incremental and --no-theory-incremental boolean programs "
-                "differ:\n" + _first_diff(printed, stateless_printed),
-            )
-        baseline_tool, baseline_bp = self._abstract(
-            program, predicates,
-            # strengthen="cubes" so incremental_cubes=False actually
-            # bites (the allsat strategy always runs incrementally).
-            self.make_options(
-                validate_output=True,
-                incremental_cubes=False,
-                strengthen="cubes",
-            ),
-        )
-        baseline_printed = print_bool_program(baseline_bp)
-        if baseline_printed != printed:
+        reference_printed = print_bool_program(reference_bp)
+        if reference_printed != printed:
             return report.fail(
                 KIND_ABSTRACTION,
-                "incremental and --no-incremental boolean programs differ:\n"
-                + _first_diff(printed, baseline_printed),
+                "incremental and one-shot reference boolean programs "
+                "differ:\n" + _first_diff(printed, reference_printed),
             )
         jobs = self.check_jobs if check_jobs is None else check_jobs
         if jobs:
@@ -250,10 +240,10 @@ class SoundnessOracle:
         # 5. Theorem-1 trace inclusion.
         return self._check_replay(case, program, predicates, tool, boolean_program, report)
 
-    def _abstract(self, program, predicates, options):
+    def _abstract(self, program, predicates, options, backend=None):
         # The context is closed on exit so a --jobs config cannot leak its
         # worker pool across cases.
-        with EngineContext(options=options) as context:
+        with EngineContext(options=options, backend=backend) as context:
             tool = C2bp(program, predicates, context=context)
             return tool, tool.run()
 

@@ -20,7 +20,7 @@ SAT-side cube queries with a tuple comparison — no solver call, no
 theory check — while every UNSAT-side verdict still goes through the
 session's exact ``decide`` (with its assumption cores), which keeps the
 kept/pruned cube lists, and hence the printed boolean program,
-byte-identical to the cube-enumeration strategy.
+byte-identical to answering every cube with a one-shot query.
 
 Soundness of the shortcut rests on two properties the sweep enforces:
 
@@ -73,7 +73,7 @@ class ModelCatalog:
     def ensure_swept(self, session):
         """Run the model sweep once, lazily — a fully cached
         strengthening call never pays for it.  The session's persistent
-        theory engine (when enabled) absorbs the sweep's near-identical
+        theory engine absorbs the sweep's near-identical
         model validations as stack deltas; the counter snapshot below
         attributes those delta queries to the sweep."""
         if self._projections is not None:

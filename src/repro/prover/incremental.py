@@ -29,7 +29,7 @@ Theory consistency is checked only over the atoms *relevant* to the
 current cube (the base encoding's atoms plus the active literals'), so an
 assignment to the atoms of inactive candidate literals — present in the
 solver because the whole candidate set is encoded up front — cannot
-perturb the theory verdict relative to a fresh per-cube query.  The
+perturb the theory verdict relative to a one-shot per-cube query.  The
 persisted blocking clauses get the same treatment: each is guarded by a
 selector that :meth:`decide` assumes only when the lemma's atoms all lie
 inside the current query's relevant set.  An unguarded lemma base would
@@ -37,7 +37,7 @@ let earlier cubes' lemmas case-split over atoms a later query never asked
 about (e.g. an exhaustive split over comparison atoms whose
 integer-tightened cells jointly refute a query that is satisfiable over
 the rationals), making answers depend on query order — and diverge from
-the fresh-per-query baseline.  With the guards, every ``decide`` answer
+the one-shot ``check_implication`` reference.  With the guards, every ``decide`` answer
 is a pure function of ``(candidates, goal, cube)``.
 """
 
@@ -47,7 +47,7 @@ from repro.prover import terms as T
 from repro.prover.cnf import CnfEncoder
 from repro.prover.sat import SatSolver
 from repro.prover.smt import Satisfiability, _minimize_core
-from repro.prover.theory import IncrementalTheory, check_literals
+from repro.prover.theory import IncrementalTheory
 
 
 class IncrementalCubeSession:
@@ -59,33 +59,20 @@ class IncrementalCubeSession:
     :meth:`decide` answers whether the cube's concretization implies the
     goal, together with the assumption core as a sub-cube.
 
-    ``want_cores=False`` skips the assumption-core mapping (and its
-    lemma-relevance validation) on UNSAT answers entirely — the policy
-    hook for callers that throw the core away, like the non-incremental
-    baseline's throwaway per-query sessions.
-
-    ``theory_incremental=True`` (the default) routes every theory
-    consistency check — model validation in :meth:`decide` and
-    :meth:`enumerate_models`, and each probe of the greedy core
-    minimizer — through one persistent
+    Every theory consistency check — model validation in :meth:`decide`
+    and :meth:`enumerate_models`, and each probe of the greedy core
+    minimizer — runs through one persistent
     :class:`~repro.prover.theory.IncrementalTheory` session, so the
     near-identical literal sets of an AllSAT sweep pay only for their
     deltas.  The engine answers exactly like the stateless
-    ``check_literals`` (that equivalence is fuzz- and
-    hypothesis-tested), so verdicts, cores, and ``TheoryResult.exact``
-    licensing are unchanged; ``False`` restores the stateless calls."""
+    ``check_literals`` (that equivalence is hypothesis-tested, and the
+    fuzz oracle compares whole abstractions against one-shot queries
+    that use ``check_literals`` directly), so verdicts, cores, and
+    ``TheoryResult.exact`` licensing are those of the reference."""
 
-    def __init__(
-        self,
-        candidates,
-        goal,
-        max_rounds=400,
-        want_cores=True,
-        theory_incremental=True,
-    ):
+    def __init__(self, candidates, goal, max_rounds=400):
         self.max_rounds = max_rounds
-        self.want_cores = want_cores
-        self._theory = IncrementalTheory() if theory_incremental else None
+        self._theory = IncrementalTheory()
         # Counters mirrored into ProverStats by the session's owner.
         self.assumption_solves = 0
         self.lemmas_learned = 0
@@ -198,22 +185,19 @@ class IncrementalCubeSession:
             self.assumption_solves += 1
             if not result.sat:
                 outcome = Satisfiability.UNSAT
-                if self.want_cores:
-                    generalize_started = time.perf_counter()
-                    core = self._map_core(result.core, cube)
-                    self.time_in_generalize += (
-                        time.perf_counter() - generalize_started
-                    )
+                generalize_started = time.perf_counter()
+                core = self._map_core(result.core, cube)
+                self.time_in_generalize += time.perf_counter() - generalize_started
                 break
             generalize_started = time.perf_counter()
             literals = self._theory_literals(result.model, relevant)
-            if not literals or self._check_theory(literals):
+            if not literals or self._theory.check(literals):
                 self.time_in_generalize += (
                     time.perf_counter() - generalize_started
                 )
                 outcome = Satisfiability.SAT
                 break
-            blocked = _minimize_core(literals, checker=self._check_theory)
+            blocked = _minimize_core(literals, checker=self._theory.check)
             blocking = [
                 (-self._atom_map.var_for(atom) if polarity else self._atom_map.var_for(atom))
                 for atom, polarity in blocked
@@ -271,15 +255,7 @@ class IncrementalCubeSession:
                 literals.append((atom, value))
         return literals
 
-    def _check_theory(self, literals):
-        """Theory consistency through the session's incremental engine
-        (stateless ``check_literals`` when it is disabled); both answer
-        identically on every literal set."""
-        if self._theory is not None:
-            return self._theory.check(literals)
-        return check_literals(literals)
-
-    # -- AllSAT model enumeration (the sweep behind AllSatStrategy) -----------
+    # -- AllSAT model enumeration (the sweep behind ModelCatalog) ---------------
 
     def candidate_count(self):
         return len(self._literal_roots) // 2
@@ -334,11 +310,11 @@ class IncrementalCubeSession:
                 break
             generalize_started = time.perf_counter()
             literals = self._theory_literals(result.model, self._all_atom_vars)
-            verdict = self._check_theory(literals) if literals else None
+            verdict = self._theory.check(literals) if literals else None
             if literals and not verdict:
                 # Theory-inconsistent assignment: learn the same guarded
                 # lemma decide() would, and keep enumerating.
-                blocked = _minimize_core(literals, checker=self._check_theory)
+                blocked = _minimize_core(literals, checker=self._theory.check)
                 blocking = [
                     (
                         -self._atom_map.var_for(atom)
@@ -375,7 +351,7 @@ class IncrementalCubeSession:
         return projections, solves
 
     def counters(self):
-        counters = {
+        return {
             "assumption_solves": self.assumption_solves,
             "lemmas_learned": self.lemmas_learned,
             "lemma_reuse_hits": self.lemma_reuse_hits,
@@ -383,14 +359,5 @@ class IncrementalCubeSession:
             "time_in_encode": self.time_in_encode,
             "time_in_solve": self.time_in_solve,
             "time_in_generalize": self.time_in_generalize,
+            **self._theory.counters(),
         }
-        if self._theory is not None:
-            counters.update(self._theory.counters())
-        else:
-            counters.update(
-                theory_delta_queries=0,
-                theory_cache_hits=0,
-                time_in_theory_closure=0.0,
-                time_in_theory_cache=0.0,
-            )
-        return counters

@@ -19,15 +19,17 @@ is wasteful: the goal is fixed and only the cube literals vary.
 :meth:`Prover.cube_session` opens a :class:`CubeProverSession` that keeps
 the canonical-form cache and all counters as the outer layer but answers
 cache misses through the backend's incremental assumption engine
-(:class:`repro.prover.incremental.IncrementalCubeSession`) when the
-backend provides one (the ``open_cube_session`` capability), falling back
-to fresh per-cube ``check_implication`` calls otherwise.
+(:class:`repro.prover.incremental.IncrementalCubeSession`, with an AllSAT
+:class:`repro.prover.allsat.ModelCatalog` in front of it) when the
+backend provides one (the ``open_cube_session`` capability), and through
+one-shot ``check_implication`` calls otherwise.
 """
 
 import time
 
 from repro.cfront import cast as C
 from repro.prover import terms as T
+from repro.prover.allsat import ModelCatalog
 from repro.prover.cache import QueryCache
 from repro.prover.incremental import IncrementalCubeSession
 from repro.prover.smt import Satisfiability, check_formula
@@ -65,15 +67,16 @@ class ProverStats:
         # distinct so they do not read as zero-time generalize entries.
         self.queries_discharged = 0
         # Per-phase wall-clock attribution (seconds), accumulated from the
-        # cube sessions (both engines) so benchmark rows can say *where*
-        # the time went: encoding, SAT solving, or core/model work.
+        # incremental cube sessions so benchmark rows can say *where* the
+        # time went: encoding, SAT solving, or core/model work.
         self.time_in_encode = 0.0
         self.time_in_solve = 0.0
         self.time_in_generalize = 0.0
         # Sub-attribution of generalize time spent inside the theory
-        # engine: delta-closure work vs fallback (cached reference) work.
+        # engine: delta-closure work vs the stateless Nelson-Oppen
+        # fallback (cache lookups included) for out-of-fragment queries.
         self.time_in_theory_closure = 0.0
-        self.time_in_theory_cache = 0.0
+        self.time_in_theory_fallback = 0.0
 
     def reset(self):
         self.__init__()
@@ -104,7 +107,7 @@ class ProverStats:
             "time_in_solve": round(self.time_in_solve, 6),
             "time_in_generalize": round(self.time_in_generalize, 6),
             "time_in_theory_closure": round(self.time_in_theory_closure, 6),
-            "time_in_theory_cache": round(self.time_in_theory_cache, 6),
+            "time_in_theory_fallback": round(self.time_in_theory_fallback, 6),
         }
 
     def merge(self, snapshot):
@@ -148,41 +151,10 @@ class DpllTBackend:
         axioms = list(ctx.defs) + T.address_axioms(T.land(conjunction, *ctx.defs))
         return check_formula(conjunction, axioms, max_rounds=self.max_rounds)
 
-    def open_cube_session(
-        self, candidates, goal, want_cores=True, theory_incremental=True
-    ):
+    def open_cube_session(self, candidates, goal):
         """An :class:`IncrementalCubeSession` deciding cubes over
-        ``candidates`` against the fixed ``goal``.  ``want_cores=False``
-        skips the assumption-core mapping and its validation — the right
-        policy for throwaway per-query sessions whose caller discards the
-        core anyway.  ``theory_incremental=False`` pins the session to
-        the stateless theory checker (the ``--no-theory-incremental``
-        escape hatch and the fuzz oracle's divergence baseline)."""
-        return IncrementalCubeSession(
-            candidates,
-            goal,
-            max_rounds=self.max_rounds,
-            want_cores=want_cores,
-            theory_incremental=theory_incremental,
-        )
-
-
-def _open_session(opener, candidates, goal, want_cores, theory_incremental=True):
-    """Call a backend's ``open_cube_session`` with the session policies,
-    tolerating backends predating the policy keywords."""
-    try:
-        return opener(
-            candidates,
-            goal,
-            want_cores=want_cores,
-            theory_incremental=theory_incremental,
-        )
-    except TypeError:
-        pass
-    try:
-        return opener(candidates, goal, want_cores=want_cores)
-    except TypeError:
-        return opener(candidates, goal)
+        ``candidates`` against the fixed ``goal``."""
+        return IncrementalCubeSession(candidates, goal, max_rounds=self.max_rounds)
 
 
 class CubeProverSession:
@@ -191,34 +163,25 @@ class CubeProverSession:
     The outer layer — canonical-form :class:`QueryCache`, stats counters,
     event reporting — is identical to :meth:`Prover.implies`, so cached
     answers are shared with plain implication queries across the whole
-    engine context.  Cache misses go to the backend's incremental
-    assumption engine when available (built lazily, so a fully cached
-    strengthening call never pays for an encoding).
+    engine context.  A cache miss takes one of two paths:
 
-    ``want_cores`` is the strategy layer's core policy: when False the
-    session never maps or validates assumption cores (callers that throw
-    them away should not pay for them).  ``catalog`` optionally attaches
-    a :class:`repro.prover.allsat.ModelCatalog`: cache misses are then
-    first tried against its swept model projections, which answers the
-    SAT-side ("cube does not imply goal") queries without a solver or
-    theory call; UNSAT-side verdicts always run the exact decide.
-    ``theory_incremental`` is forwarded to the backend session: whether
-    its theory checks run on a persistent delta-closure engine or the
-    stateless reference (``--no-theory-incremental``)."""
+    - the backend has ``open_cube_session``: the miss goes to its
+      incremental assumption engine (built lazily, so a fully cached
+      strengthening call never pays for an encoding), after a
+      :class:`repro.prover.allsat.ModelCatalog` whose swept model
+      projections answer the SAT-side ("cube does not imply goal")
+      queries without a solver or theory call; UNSAT-side verdicts
+      always run the exact decide, and report its assumption core;
+    - otherwise: a one-shot ``backend.check_implication`` per cube, with
+      no core."""
 
-    def __init__(
-        self, prover, candidates, goal, incremental=True, want_cores=True,
-        catalog=None, theory_incremental=True,
-    ):
+    def __init__(self, prover, candidates, goal):
         self.prover = prover
         self.candidates = tuple(candidates)
         self._negated = tuple(C.negate(expr) for expr in self.candidates)
         self.goal = goal
-        self._incremental = incremental
-        self._want_cores = want_cores
-        self._catalog = catalog
-        self._theory_incremental = theory_incremental
         self._session = None
+        self._catalog = None
         self._synced = None
         self._catalog_synced = None
         prover.stats.cube_sessions += 1
@@ -252,56 +215,39 @@ class CubeProverSession:
         started = time.perf_counter()
         core = None
         opener = getattr(prover.backend, "open_cube_session", None)
-        if self._incremental and self._session is None and opener is not None:
-            self._session = _open_session(
-                opener, self.candidates, self.goal, self._want_cores,
-                self._theory_incremental,
-            )
-            self._synced = self._session.counters()
-        if self._session is not None:
-            outcome = None
-            if self._catalog is not None:
-                self._catalog.ensure_swept(self._session)
-                if self._catalog.covers(cube):
-                    # A swept model satisfies every literal of the cube:
-                    # E(cube) ∧ ¬goal has a theory-consistent model, so
-                    # the implication does not hold — no decide needed.
-                    outcome = Satisfiability.SAT
-            if outcome is None:
-                if self._session.decides > 0:
-                    # The fresh baseline would have re-encoded the whole query.
+        if opener is not None:
+            if self._session is None:
+                self._session = opener(self.candidates, self.goal)
+                self._catalog = ModelCatalog()
+                self._synced = self._session.counters()
+            self._catalog.ensure_swept(self._session)
+            if self._catalog.covers(cube):
+                # A swept model satisfies every literal of the cube:
+                # E(cube) ∧ ¬goal has a theory-consistent model, so the
+                # implication does not hold — no decide needed.
+                outcome = Satisfiability.SAT
+            else:
+                if self._synced["decides"] > 0:
+                    # A one-shot query would have re-encoded everything.
                     stats.cnf_encodings_saved += 1
                 outcome, raw_core = self._session.decide(cube)
                 if raw_core is not None and len(raw_core) < len(cube):
                     core = raw_core
                     stats.core_shrinks += 1
             self._sync_session_counters()
-        elif opener is not None:
-            # Non-incremental baseline: a throwaway session per query.
-            # Same clause universe and theory-relevance rules as the
-            # incremental engine — so the two modes compute the same
-            # answer for every cube — but every query pays the full
-            # re-encoding and lemma rediscovery.  The strategy layer's
-            # core policy applies here too: no caller keeps these cores,
-            # so the session skips the core mapping and its validation.
-            throwaway = _open_session(
-                opener, self.candidates, self.goal, False,
-                self._theory_incremental,
-            )
-            outcome, _ = throwaway.decide(cube)
-            counters = throwaway.counters()
-            for name in (
-                "time_in_encode",
-                "time_in_solve",
-                "time_in_generalize",
-                "time_in_theory_closure",
-                "time_in_theory_cache",
-                "theory_delta_queries",
-                "theory_cache_hits",
-            ):
-                setattr(stats, name, getattr(stats, name) + counters.get(name, 0))
         else:
-            outcome = prover.backend.check_implication(exprs, self.goal)
+            # The formulas the incremental session encodes: a negative
+            # literal is the logical negation of its candidate.  The
+            # relational flip in ``exprs`` means the same, but the theory
+            # checker's incomplete integer reasoning can answer the two
+            # forms differently.
+            literals = tuple(
+                self.candidates[index]
+                if polarity
+                else C.UnOp("!", self.candidates[index])
+                for index, polarity in cube
+            )
+            outcome = prover.backend.check_implication(literals, self.goal)
         elapsed = time.perf_counter() - started
         stats.calls += 1
         result = outcome is Satisfiability.UNSAT
@@ -335,7 +281,7 @@ class CubeProverSession:
             "time_in_solve",
             "time_in_generalize",
             "time_in_theory_closure",
-            "time_in_theory_cache",
+            "time_in_theory_fallback",
         ):
             setattr(
                 stats,
@@ -345,14 +291,11 @@ class CubeProverSession:
                 - self._synced.get(name, 0),
             )
         self._synced = current
-        if self._catalog is not None:
-            current_catalog = self._catalog.counters()
-            synced = self._catalog_synced or {
-                name: 0 for name in current_catalog
-            }
-            for name, value in current_catalog.items():
-                setattr(stats, name, getattr(stats, name) + value - synced[name])
-            self._catalog_synced = current_catalog
+        current_catalog = self._catalog.counters()
+        synced = self._catalog_synced or {name: 0 for name in current_catalog}
+        for name, value in current_catalog.items():
+            setattr(stats, name, getattr(stats, name) + value - synced[name])
+        self._catalog_synced = current_catalog
 
 
 class Prover:
@@ -407,27 +350,11 @@ class Prover:
         self._emit("implies", cached=False, result=result, seconds=elapsed)
         return result
 
-    def cube_session(
-        self, candidates, goal, incremental=True, want_cores=True, catalog=None,
-        theory_incremental=True,
-    ):
+    def cube_session(self, candidates, goal):
         """Open a :class:`CubeProverSession` for one strengthening call:
         repeated cube implication tests over ``candidates`` against the
-        fixed ``goal``.  With ``incremental=False`` (or a backend without
-        the ``open_cube_session`` capability) every cache miss runs a
-        fresh ``check_implication`` — the pre-session behaviour, kept as
-        the benchmark baseline.  ``want_cores``/``catalog``/
-        ``theory_incremental`` are the strategy layer's policy hooks (see
-        :class:`CubeProverSession`)."""
-        return CubeProverSession(
-            self,
-            candidates,
-            goal,
-            incremental=incremental,
-            want_cores=want_cores,
-            catalog=catalog,
-            theory_incremental=theory_incremental,
-        )
+        fixed ``goal``."""
+        return CubeProverSession(self, candidates, goal)
 
     def is_valid(self, expr):
         return self.implies((), expr)

@@ -386,7 +386,7 @@ class IncrementalTheory:
         self.literals_pushed = 0
         self.literals_reused = 0
         self.time_in_closure = 0.0
-        self.time_in_cache = 0.0
+        self.time_in_fallback = 0.0
 
     def check(self, literals, want_equalities=False):
         """Decide joint satisfiability of ``literals``; same contract (and
@@ -497,7 +497,7 @@ class IncrementalTheory:
                 *_split_literals(ordered), eq_cache=self._eq_cache
             )
             self._results[key] = (consistent, exact)
-        self.time_in_cache += time.perf_counter() - started
+        self.time_in_fallback += time.perf_counter() - started
         return TheoryResult(consistent, exact)
 
     def counters(self):
@@ -505,5 +505,5 @@ class IncrementalTheory:
             "theory_delta_queries": self.delta_queries,
             "theory_cache_hits": self.cache_hits,
             "time_in_theory_closure": self.time_in_closure,
-            "time_in_theory_cache": self.time_in_cache,
+            "time_in_theory_fallback": self.time_in_fallback,
         }

@@ -101,10 +101,11 @@ def _digest_text(namespace, text):
 def query_store_key(key):
     """The store key text for an in-memory :class:`QueryCache` key.
 
-    Prover answers depend only on the query (every strengthening /
-    theory / analysis configuration is pinned answer-invisible), so the
-    options fingerprint is deliberately absent: runs under different
-    ablation configurations share prover entries.
+    Prover answers depend only on the query (the incremental cube engine
+    answers exactly like one-shot queries, and every analysis
+    configuration is pinned answer-invisible), so the options
+    fingerprint is deliberately absent: runs under different ablation
+    configurations share prover entries.
     """
     kind, exprs, consequent = key
     return _digest_text("prover", canonical_query_text(kind, exprs, consequent))
@@ -112,11 +113,10 @@ def query_store_key(key):
 
 #: The :class:`repro.core.options.C2bpOptions` fields a statement's
 #: translation (and enforce invariant) can read.  Deliberately excludes
-#: the answer-invisible knobs — ``strengthen``, ``incremental_cubes``,
-#: ``theory_incremental``, ``cache_prover``, ``jobs``, the Bebop engine
-#: selection, ``bp_dce`` (a post-pass), ``validate_output``, and the
-#: cache wiring itself — so configurations that provably print the same
-#: bytes share statement entries.
+#: the answer-invisible knobs — ``cache_prover``, ``jobs``, the Bebop
+#: engine selection, ``bp_dce`` (a post-pass), ``validate_output``, the
+#: BMC settings, and the cache wiring itself — so configurations that
+#: provably print the same bytes share statement entries.
 SEMANTIC_OPTION_FIELDS = (
     "max_cube_length",
     "cone_of_influence",

@@ -254,21 +254,20 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
             persistent_tables = BebopTableStore(ctx.store)
         reuse = BebopReuse(persistent=persistent_tables)
         ctx.stats.register("bebop_reuse", reuse.snapshot)
-    # Cross-iteration statement-abstraction cache (serial path only —
-    # the parallel path already amortizes via the forked prover cache).
+    # Cross-iteration statement-abstraction cache (serial and pool paths
+    # alike: the pool path looks statements up in the parent).
     abstraction_reuse = None
     analysis_stats = None
     if getattr(ctx.options, "use_analysis", True):
         analysis_stats = ensure_analysis_stats(ctx)
-        if (getattr(ctx.options, "jobs", 1) or 1) <= 1:
-            if getattr(ctx, "store", None) is not None:
-                from repro.serve import PersistentAbstractionReuse
+        if getattr(ctx, "store", None) is not None:
+            from repro.serve import PersistentAbstractionReuse
 
-                abstraction_reuse = PersistentAbstractionReuse(
-                    ctx.store, ctx.options, stats=analysis_stats
-                )
-            else:
-                abstraction_reuse = AbstractionReuse(stats=analysis_stats)
+            abstraction_reuse = PersistentAbstractionReuse(
+                ctx.store, ctx.options, stats=analysis_stats
+            )
+        else:
+            abstraction_reuse = AbstractionReuse(stats=analysis_stats)
     started = time.perf_counter()
     stats = []
     iteration_log = IterationLog()

@@ -3,6 +3,8 @@ facts, interval fixpoints and the query discharger, boolean-program
 dead-variable elimination (with a simulation-equivalence property test),
 and the cross-iteration abstraction reuse."""
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
@@ -343,10 +345,15 @@ void main(int x) {
 """
 
 
-def test_reuse_across_cegar_iterations():
+@pytest.mark.parametrize("live_predicates", [True, False])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reuse_across_cegar_iterations(jobs, live_predicates):
+    # With liveness off the pool path ships enforce computations to the
+    # workers too, and records their results on the way back.
     program = parse_c_program(REFINE_SOURCE, name="refine")
-    context = EngineContext(options=C2bpOptions())
-    result = cegar_loop(program, max_iterations=6, context=context)
+    options = C2bpOptions(jobs=jobs, live_predicates=live_predicates)
+    with EngineContext(options=options) as context:
+        result = cegar_loop(program, max_iterations=6, context=context)
     assert result.verdict == "safe"
     assert result.iterations >= 2
     stats = context.analysis_stats

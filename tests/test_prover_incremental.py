@@ -5,23 +5,29 @@ Three layers of guarantees:
 - :class:`SatSolver` assumption handling: persistent solver state across
   ``solve()`` calls and a sound unsat-core-lite (the subset of assumptions
   in the final conflict);
-- differential identity: the incremental session classifies exactly the
-  cube sets the fresh-solver-per-cube baseline does, on randomized
-  instances (hypothesis) and on real programs;
+- differential identity: every cube answer of the incremental session
+  (catalog, cores and incremental theory included) equals the one-shot
+  backend's answer on randomized instances (hypothesis), every reported
+  core implies the goal on its own, and a real program abstracts to the
+  same bytes through either backend;
 - ``--jobs``: the parallel statement abstraction emits a byte-identical
   boolean program and merged accounting.
 """
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from repro import C2bp, parse_c_program, parse_predicate_file
 from repro.boolprog.printer import print_bool_program
+from repro.cfront import cast as C
 from repro.cfront import parse_expression
 from repro.core import C2bpOptions
 from repro.core.cubes import CubeSearch
 from repro.engine import EngineContext
+from repro.fuzz.oracle import ReferenceBackend
 from repro.programs import get_program
-from repro.prover import Prover, Satisfiability
+from repro.prover import DpllTBackend, Prover, Satisfiability
 from repro.prover import sat as sat_module
 from repro.prover.sat import SatSolver
 
@@ -94,7 +100,7 @@ def test_clauses_added_between_solves():
     assert not solver.solve(assumptions=[3]).sat
 
 
-# -- differential identity: incremental vs fresh-per-cube ----------------------------
+# -- differential identity: session vs one-shot backend -----------------------------
 
 
 _VARS = ("x", "y")
@@ -117,46 +123,59 @@ def _instance(draw):
     return candidates, goal
 
 
+def _all_cubes(count):
+    for length in range(count + 1):
+        for indices in itertools.combinations(range(count), length):
+            for polarities in itertools.product([True, False], repeat=length):
+                yield tuple(zip(indices, polarities))
+
+
+def _assert_cubes_match_one_shot(candidates, goal):
+    """Every cube's session answer equals the one-shot backend's, and a
+    reported core implies the goal on its own."""
+    session = Prover().cube_session(candidates, goal)
+    backend = DpllTBackend()
+
+    def one_shot(cube):
+        outcome = backend.check_implication(session.cube_exprs(cube), goal)
+        return outcome is Satisfiability.UNSAT
+
+    for cube in _all_cubes(len(candidates)):
+        result, core = session.implies_cube(cube)
+        assert result == one_shot(cube), cube
+        if core is not None:
+            assert set(core) < set(cube) and one_shot(core), (cube, core)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_instance())
-def test_incremental_matches_fresh_on_random_instances(instance):
+def test_session_cubes_match_one_shot_on_random_instances(instance):
     candidate_texts, goal_text = instance
-    candidates = [_Cand(t) for t in candidate_texts]
-    goal = parse_expression(goal_text)
-    incremental = CubeSearch(
-        Prover(), C2bpOptions(syntactic_heuristics=False, incremental_cubes=True)
-    )
-    fresh = CubeSearch(
-        Prover(), C2bpOptions(syntactic_heuristics=False, incremental_cubes=False)
-    )
-    assert incremental.implicant_cubes(candidates, goal) == fresh.implicant_cubes(
-        candidates, goal
+    _assert_cubes_match_one_shot(
+        [parse_expression(t) for t in candidate_texts], parse_expression(goal_text)
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(_instance())
-def test_incremental_matches_fresh_inconsistent_cubes(instance):
+def test_session_cubes_match_one_shot_inconsistent(instance):
     candidate_texts, _ = instance
-    candidates = [_Cand(t) for t in candidate_texts]
-    incremental = CubeSearch(Prover(), C2bpOptions(incremental_cubes=True))
-    fresh = CubeSearch(Prover(), C2bpOptions(incremental_cubes=False))
-    assert incremental.inconsistent_cubes(candidates, 3) == fresh.inconsistent_cubes(
-        candidates, 3
+    _assert_cubes_match_one_shot(
+        [parse_expression(t) for t in candidate_texts], C.IntLit(0)
     )
 
 
-def test_incremental_matches_fresh_on_partition():
+def test_session_matches_one_shot_backend_on_partition():
     study = get_program("partition")
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
-    with_sessions = C2bp(
-        program, predicates, options=C2bpOptions(incremental_cubes=True)
-    ).run()
-    baseline = C2bp(
-        program, predicates, options=C2bpOptions(incremental_cubes=False)
-    ).run()
-    assert print_bool_program(with_sessions) == print_bool_program(baseline)
+    texts = []
+    for backend in (None, ReferenceBackend()):
+        with EngineContext(options=C2bpOptions(jobs=1), backend=backend) as context:
+            texts.append(
+                print_bool_program(C2bp(program, predicates, context=context).run())
+            )
+    assert texts[0] == texts[1]
 
 
 # -- session accounting --------------------------------------------------------------
@@ -164,15 +183,10 @@ def test_incremental_matches_fresh_on_partition():
 
 def test_session_counters_track_reuse():
     prover = Prover()
-    search = CubeSearch(
-        prover,
-        C2bpOptions(
-            syntactic_heuristics=False,
-            incremental_cubes=True,
-            strengthen="cubes",
-        ),
-    )
-    candidates = [_Cand("x < 5"), _Cand("x == 2"), _Cand("y > 0")]
+    search = CubeSearch(prover, C2bpOptions(syntactic_heuristics=False))
+    # Two implicants, so one session runs two exact decides (the catalog
+    # answers the SAT-side cubes without any).
+    candidates = [_Cand("x == 2"), _Cand("x == 3"), _Cand("y > 0")]
     search.implicant_cubes(candidates, parse_expression("x < 4"))
     stats = prover.stats
     assert stats.cube_sessions >= 2  # one per direction (=> phi, => !phi)
@@ -184,9 +198,7 @@ def test_session_counters_track_reuse():
 
 def test_allsat_counters_track_catalog():
     prover = Prover()
-    search = CubeSearch(
-        prover, C2bpOptions(syntactic_heuristics=False, strengthen="allsat")
-    )
+    search = CubeSearch(prover, C2bpOptions(syntactic_heuristics=False))
     candidates = [_Cand("x < 5"), _Cand("x == 2"), _Cand("y > 0")]
     search.implicant_cubes(candidates, parse_expression("x < 4"))
     stats = prover.stats
@@ -211,16 +223,19 @@ def test_unsat_core_shrinks_recorded_cube():
     assert prover.stats.core_shrinks == 1
 
 
-def test_fresh_fallback_reports_no_core():
-    prover = Prover()
+def test_one_shot_backend_reports_no_core():
+    # A backend without open_cube_session answers each cube with one
+    # check_implication call: no session, no catalog, no core.
+    prover = Prover(backend=ReferenceBackend())
     session = prover.cube_session(
         [parse_expression("x < 5"), parse_expression("x == 2")],
         parse_expression("x < 10"),
-        incremental=False,
     )
     result, core = session.implies_cube(((0, True), (1, True)))
     assert result is True and core is None
+    assert prover.stats.calls == 1
     assert prover.stats.assumption_solves == 0
+    assert prover.stats.allsat_sweeps == 0
 
 
 def test_cube_session_shares_query_cache_with_implies():

@@ -107,7 +107,7 @@ def test_stats_json_schema(study_files, tmp_path):
     )
     assert code == 0
     stats = json.load(open(stats_file))
-    assert stats["schema_version"] == 2
+    assert stats["schema_version"] == 3
     store = stats["persistent_cache"]
     for field in ("hits", "misses", "writes", "evictions",
                   "cache_corrupt_records", "namespaces", "root"):
@@ -128,8 +128,16 @@ def test_pool_and_cache_lifecycle(study_files, tmp_path):
             C2bp(program, predicates, context=context).run()
         )
     cache_dir = str(tmp_path / "cache")
-    for run in ("cold", "warm"):
-        options = C2bpOptions(jobs=2, cache_dir=cache_dir)
+    # "requery" turns the interval discharger off: answer-invisible, but
+    # part of the statement keys' options fingerprint, so every statement
+    # misses the statement cache and goes to the workers, whose prover
+    # queries then hit the store populated by the cold run.
+    for run, overrides in (
+        ("cold", {}),
+        ("warm", {}),
+        ("requery", {"intervals": False}),
+    ):
+        options = C2bpOptions(jobs=2, cache_dir=cache_dir, **overrides)
         with EngineContext(options=options) as context:
             printed = print_bool_program(
                 C2bp(program, predicates, context=context).run()
@@ -138,6 +146,11 @@ def test_pool_and_cache_lifecycle(study_files, tmp_path):
             counters = context.store.counters_with_namespaces()
         if run == "cold":
             assert counters["writes"] > 0, "parent must write through"
+        elif run == "warm":
+            # The parent serves every statement from the store before
+            # any task is built.
+            assert counters["namespaces"]["c2bp-stmt"]["hits"] > 0, counters
+            assert counters["namespaces"]["c2bp-stmt"].get("misses", 0) == 0
         else:
             # Worker hit deltas must be visible in the parent's merged
             # counters (the workers opened the store read-only).

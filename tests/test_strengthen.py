@@ -1,170 +1,37 @@
-"""The strengthening-strategy layer and the persistent worker pool.
+"""The strengthening engine's engagement, the one-shot reference, and the
+persistent worker pool.
 
 Four groups of guarantees:
 
-- **Strategy differential** — :class:`AllSatStrategy` classifies exactly
-  the cube sets :class:`CubeEnumerationStrategy` does, on randomized
-  instances (hypothesis) and on real corpus programs, and the printed
-  boolean programs are byte-identical;
-- **Core policy** — sessions opened with ``want_cores=False`` (the
-  fresh-baseline throwaway path) skip unsat-core mapping entirely;
+- **Engagement** — on real corpus programs every layer of the default
+  strengthening engine does work: assumption solves, AllSAT catalog
+  hits, incremental-theory delta queries (inside and outside the
+  sweep), and the ``--jobs 2`` pool merges those counters back;
+- **Reference identity** — the boolean programs equal the ones built
+  through a backend with only the one-shot checks (the fuzz oracle's
+  reference);
 - **Pool lifecycle** — the persistent :class:`StatementPool` shuts down
   deterministically (no zombie processes after ``close()``), survives
   reuse across runs on one context, and re-raises a failing worker
   statement with the original traceback;
 - **Oracle coverage** — an injected catalog bug is caught by the fuzz
-  oracle as ``strengthen-divergence``.
+  oracle's reference comparison as ``abstraction-divergence``.
 """
 
-import io
 import multiprocessing
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import C2bp, parse_c_program, parse_predicate_file
 from repro.boolprog.printer import print_bool_program
-from repro.cfront import parse_expression
 from repro.core import C2bpOptions
 from repro.core import abstractor as abstractor_module
-from repro.core.cubes import (
-    AllSatStrategy,
-    CubeEnumerationStrategy,
-    CubeSearch,
-    make_strategy,
-)
 from repro.core.pool import WorkerError
 from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
-from repro.fuzz.oracle import KIND_STRENGTHEN, SoundnessOracle
+from repro.fuzz.oracle import KIND_ABSTRACTION, ReferenceBackend, SoundnessOracle
 from repro.programs import get_program
-from repro.prover import Prover
 from repro.prover import allsat as allsat_module
-
-
-class _Cand:
-    def __init__(self, text):
-        self.expr = parse_expression(text)
-        self.name = text.replace(" ", "")
-
-
-def _search(strengthen, **overrides):
-    options = C2bpOptions(
-        syntactic_heuristics=False, strengthen=strengthen, **overrides
-    )
-    return CubeSearch(Prover(), options)
-
-
-# -- strategy selection --------------------------------------------------------------
-
-
-def test_make_strategy_resolution():
-    assert isinstance(make_strategy(None), AllSatStrategy)
-    assert isinstance(make_strategy("allsat"), AllSatStrategy)
-    strategy = make_strategy("cubes")
-    assert isinstance(strategy, CubeEnumerationStrategy)
-    assert not isinstance(strategy, AllSatStrategy)
-    assert make_strategy(strategy) is strategy
-    with pytest.raises(ValueError):
-        make_strategy("nope")
-
-
-def test_default_options_select_allsat():
-    search = CubeSearch(Prover(), C2bpOptions())
-    assert isinstance(search.strategy, AllSatStrategy)
-
-
-# -- differential: allsat vs cubes ----------------------------------------------------
-
-
-_VARS = ("x", "y")
-
-
-@st.composite
-def _atom(draw):
-    var = draw(st.sampled_from(_VARS))
-    op = draw(st.sampled_from(["<", "<=", "==", ">", ">=", "!="]))
-    constant = draw(st.integers(min_value=-3, max_value=3))
-    if draw(st.booleans()):
-        return "%s %s %d" % (var, op, constant)
-    return "x + y %s %d" % (op, constant)
-
-
-@st.composite
-def _instance(draw):
-    candidates = draw(st.lists(_atom(), min_size=1, max_size=3, unique=True))
-    goal = draw(_atom())
-    return candidates, goal
-
-
-@settings(max_examples=40, deadline=None)
-@given(_instance())
-def test_allsat_matches_cubes_on_random_instances(instance):
-    candidate_texts, goal_text = instance
-    candidates = [_Cand(t) for t in candidate_texts]
-    goal = parse_expression(goal_text)
-    assert _search("allsat").implicant_cubes(candidates, goal) == _search(
-        "cubes"
-    ).implicant_cubes(candidates, goal)
-
-
-@settings(max_examples=25, deadline=None)
-@given(_instance())
-def test_allsat_matches_cubes_inconsistent(instance):
-    candidate_texts, _ = instance
-    candidates = [_Cand(t) for t in candidate_texts]
-    assert _search("allsat").inconsistent_cubes(candidates, 3) == _search(
-        "cubes"
-    ).inconsistent_cubes(candidates, 3)
-
-
-@pytest.mark.parametrize("name", ["partition", "listfind"])
-def test_allsat_bool_program_byte_identical(name):
-    study = get_program(name)
-    program = parse_c_program(study.source, study.name)
-    predicates = parse_predicate_file(study.predicate_text, program)
-    texts = {
-        label: print_bool_program(
-            C2bp(
-                program,
-                predicates,
-                options=C2bpOptions(strengthen=label),
-            ).run()
-        )
-        for label in ("allsat", "cubes")
-    }
-    assert texts["allsat"] == texts["cubes"]
-
-
-# -- the want_cores policy ------------------------------------------------------------
-
-
-def test_want_cores_false_skips_core_mapping():
-    prover = Prover()
-    session = prover.cube_session(
-        [parse_expression("x < 5"), parse_expression("x == 2")],
-        parse_expression("x < 10"),
-        want_cores=False,
-    )
-    result, core = session.implies_cube(((0, True), (1, True)))
-    assert result is True
-    assert core is None
-    assert prover.stats.core_shrinks == 0
-
-
-def test_want_cores_default_still_shrinks():
-    prover = Prover()
-    session = prover.cube_session(
-        [parse_expression("x < 5"), parse_expression("x == 2")],
-        parse_expression("x < 10"),
-    )
-    result, core = session.implies_cube(((0, True), (1, True)))
-    assert result is True
-    assert core in (((0, True),), ((1, True),))
-    assert prover.stats.core_shrinks == 1
-
-
-# -- pool lifecycle -------------------------------------------------------------------
 
 
 def _study_inputs(name):
@@ -172,6 +39,43 @@ def _study_inputs(name):
     program = parse_c_program(study.source, study.name)
     predicates = parse_predicate_file(study.predicate_text, program)
     return program, predicates
+
+
+def _abstract(name, jobs=1, backend=None):
+    program, predicates = _study_inputs(name)
+    with EngineContext(options=C2bpOptions(jobs=jobs), backend=backend) as context:
+        text = print_bool_program(C2bp(program, predicates, context=context).run())
+        return text, context.prover.stats
+
+
+# -- engagement -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["partition", "kmp"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_strengthening_layers_engage(name, jobs):
+    # At jobs=2 every counter below is a worker-side tally merged back
+    # into the parent's stats.
+    _, stats = _abstract(name, jobs=jobs)
+    assert stats.calls > 0
+    assert stats.assumption_solves > 0
+    assert stats.allsat_model_hits > 0
+    assert stats.theory_delta_queries > 0
+    assert stats.allsat_sweep_theory_deltas > 0
+
+
+# -- the one-shot reference -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["partition", "listfind"])
+def test_bool_program_matches_one_shot_reference(name):
+    text, _ = _abstract(name)
+    reference, stats = _abstract(name, backend=ReferenceBackend())
+    assert stats.assumption_solves == 0 and stats.allsat_sweeps == 0
+    assert text == reference
+
+
+# -- pool lifecycle -------------------------------------------------------------------
 
 
 def test_pool_persists_across_runs_and_closes_clean():
@@ -228,8 +132,8 @@ def test_failing_worker_statement_surfaces_traceback(monkeypatch):
 
 
 def test_oracle_catches_injected_catalog_bug(monkeypatch):
-    """A catalog that misreports coverage flips SAT answers; the oracle
-    must flag the divergence with the strengthen-specific kind."""
+    """A catalog that misreports coverage flips SAT answers; the oracle's
+    one-shot reference abstraction must expose the divergence."""
 
     def lying_covers(self, cube):
         self.hits += 1
@@ -240,36 +144,6 @@ def test_oracle_catches_injected_catalog_bug(monkeypatch):
     for seed in range(8):
         case = ProgramGenerator("strengthen").generate(seed)
         report = oracle.check(case, check_jobs=False)
-        if report.kind == KIND_STRENGTHEN:
+        if report.kind == KIND_ABSTRACTION and "reference" in report.detail:
             return
     raise AssertionError("no generated case exposed the injected catalog bug")
-
-
-# -- CLI flag -------------------------------------------------------------------------
-
-
-def test_cli_strengthen_flag(tmp_path):
-    from repro.cli import main
-
-    study = get_program("partition")
-    c_path = tmp_path / "p.c"
-    p_path = tmp_path / "p.preds"
-    c_path.write_text(study.source)
-    p_path.write_text(study.predicate_text)
-    outputs = {}
-    for flag in ("allsat", "cubes"):
-        out = io.StringIO()
-        code = main(
-            [
-                "abstract",
-                str(c_path),
-                str(p_path),
-                "--strengthen",
-                flag,
-            ],
-            out=out,
-        )
-        assert code == 0
-        # Strip the trailing stats comment (timings differ run to run).
-        outputs[flag] = out.getvalue().rsplit("//", 1)[0]
-    assert outputs["allsat"] == outputs["cubes"]
