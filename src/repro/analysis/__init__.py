@@ -6,17 +6,13 @@ clients (see ``docs/ANALYSIS.md``):
 - :mod:`repro.analysis.framework` — the dataflow solver and call graph;
 - :mod:`repro.analysis.modref` — canonical location keysets, the
   memoized :class:`TouchOracle`, and mod/ref summaries;
-- :mod:`repro.analysis.livepreds` — backward live-predicate facts
-  (C2bp's dead-slot pruning);
 - :mod:`repro.analysis.intervals` — interval abstract interpretation
-  (pre-prover query discharge and Newton-stall candidate predicates);
-- :mod:`repro.analysis.bpdce` — boolean-program dead-variable
-  elimination;
+  (Newton-stall candidate predicates);
 - :mod:`repro.analysis.reuse` — cross-iteration statement-abstraction
   cache keyed on the mod/ref closures.
 
-:class:`ProgramAnalyses` bundles the per-run state; C2bp builds one when
-``options.use_analysis`` holds.  :class:`AnalysisStats` is shared across
+:class:`ProgramAnalyses` bundles the per-run state; every C2bp run
+builds one.  :class:`AnalysisStats` is shared across
 a whole engine context (via :func:`ensure_analysis_stats`) so the CEGAR
 loop can report per-iteration deltas.
 """
@@ -24,37 +20,26 @@ loop can report per-iteration deltas.
 from repro.cfront.cfg import build_program_cfgs
 from repro.cfront.pretty import pretty_stmt
 
-from repro.analysis.framework import BACKWARD, FORWARD, CallGraph, DataflowAnalysis
+from repro.analysis.framework import CallGraph, DataflowAnalysis
 from repro.analysis.modref import (
     WILDCARD,
     ModRefSummaries,
     TouchOracle,
     location_keyset,
 )
-from repro.analysis.livepreds import LivePredicates, enforce_variable_names
-from repro.analysis.intervals import (
-    IntervalDischarger,
-    interval_candidate_predicates,
-)
-from repro.analysis.bpdce import eliminate_dead_variables
+from repro.analysis.intervals import interval_candidate_predicates
 from repro.analysis.reuse import AbstractionReuse
 
 __all__ = [
     "AbstractionReuse",
     "AnalysisStats",
-    "BACKWARD",
     "CallGraph",
     "DataflowAnalysis",
-    "FORWARD",
-    "IntervalDischarger",
-    "LivePredicates",
     "ModRefSummaries",
     "ProgramAnalyses",
     "TouchOracle",
     "WILDCARD",
-    "eliminate_dead_variables",
     "ensure_analysis_stats",
-    "enforce_variable_names",
     "interval_candidate_predicates",
     "location_keyset",
 ]
@@ -66,9 +51,6 @@ class AnalysisStats:
     the loop can take per-iteration deltas."""
 
     FIELDS = (
-        "predicates_skipped_dead",
-        "queries_discharged_interval",
-        "bp_vars_eliminated",
         "modref_summary_hits",
         "modref_touch_queries",
         "c2bp_stmts_reused",
@@ -101,9 +83,8 @@ class ProgramAnalyses:
     """Per-abstraction-run static facts, shared by every consumer.
 
     Built once per C2bp run (facts depend on the predicate set, which
-    grows across CEGAR iterations).  Everything heavier than the flag
-    checks is computed lazily: a run that never asks for mod/ref
-    summaries never builds them.
+    grows across CEGAR iterations).  Everything is computed lazily: a
+    run that never asks for mod/ref summaries never builds them.
     """
 
     def __init__(self, program, predicates, signatures, options, points_to, stats):
@@ -113,16 +94,10 @@ class ProgramAnalyses:
         self.options = options
         self.points_to = points_to
         self.stats = stats
-        self.live_enabled = bool(getattr(options, "live_predicates", True))
-        self.intervals_enabled = bool(getattr(options, "intervals", True))
-        self.discharger = (
-            IntervalDischarger(stats) if self.intervals_enabled else None
-        )
         self._cfgs = None
         self._modref = None
         self._touchers = {}
         self._keysets = {}  # predicate name -> location keyset
-        self._liveness = {}  # func name -> LivePredicates
 
     # -- shared building blocks -------------------------------------------------
 
@@ -156,40 +131,6 @@ class ProgramAnalyses:
         if self._modref is None:
             self._modref = ModRefSummaries(self.program, points_to=self.points_to)
         return self._modref
-
-    # -- live predicates --------------------------------------------------------
-
-    def compute_liveness(self, func_name, enforce_expr):
-        """Solve (once) the live-predicate facts for ``func_name`` given
-        its enforce invariant; None when the pass is disabled."""
-        if not self.live_enabled:
-            return None
-        solved = self._liveness.get(func_name)
-        if solved is None:
-            cfg = self.cfgs.get(func_name)
-            if cfg is None:
-                return None
-            signature = self.signatures[func_name]
-            solved = LivePredicates(
-                cfg,
-                self.predicates.in_scope(func_name),
-                signature.return_predicates,
-                self.may_alias(func_name),
-                self.toucher(func_name),
-                self.options,
-                enforce_names=enforce_variable_names(enforce_expr),
-            )
-            self._liveness[func_name] = solved
-        return solved
-
-    def liveness(self, func_name):
-        return self._liveness.get(func_name)
-
-    def is_dead(self, func_name, stmt, predicate):
-        solved = self._liveness.get(func_name)
-        if solved is None:
-            return False
-        return not solved.is_live(stmt, predicate.name)
 
     # -- reuse keys -------------------------------------------------------------
 
@@ -245,17 +186,6 @@ class ProgramAnalyses:
         else:
             pred_part = tuple(p.name for p in scope if p.name in relevant)
             sig_part = (self._signature_fingerprint(func.name),)
-        solved = self._liveness.get(func.name)
-        if solved is None:
-            live_part = "live-off"
-        else:
-            live_part = tuple(
-                (sid, fact if fact is None else tuple(sorted(fact)))
-                for sid, fact in sorted(
-                    (sid, solved.live_out_by_sid(sid))
-                    for sid in _subtree_sids(stmt)
-                )
-            )
         return (
             func.name,
             index,
@@ -264,7 +194,6 @@ class ProgramAnalyses:
             tuple(stmt.labels),
             pred_part,
             sig_part,
-            live_part,
         )
 
     def enforce_key(self, func_name):
@@ -277,9 +206,7 @@ class ProgramAnalyses:
 
     def newton_fallback_predicates(self, func_name):
         """Loop-head interval invariants of ``func_name`` as candidate
-        predicate expressions (empty when intervals are disabled)."""
-        if not self.intervals_enabled:
-            return []
+        predicate expressions."""
         cfg = self.cfgs.get(func_name)
         if cfg is None:
             return []
@@ -290,14 +217,3 @@ class ProgramAnalyses:
             self.stats.interval_candidates_exported += len(candidates)
         return candidates
 
-
-def _subtree_sids(stmt):
-    sids = []
-    stack = [stmt]
-    while stack:
-        current = stack.pop()
-        if current.sid is not None:
-            sids.append(current.sid)
-        for sub in current.substatements():
-            stack.extend(sub)
-    return sids

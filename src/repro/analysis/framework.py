@@ -1,17 +1,10 @@
 """The generic interprocedural dataflow skeleton.
 
-Every production pass in :mod:`repro.analysis` is an instance of the same
-recipe: a finite-height lattice of facts, a transfer function per CFG
-node, and a worklist iteration to the least fixpoint.  The skeleton keeps
-that machinery in one place so adding a pass means writing only the
-lattice and the transfers (see ``docs/ANALYSIS.md``).
-
-Two solver directions are provided:
-
-- **forward**: facts flow along CFG edges (entry seeds the iteration);
-  used by the interval interpreter;
-- **backward**: facts flow against CFG edges (exit seeds the iteration);
-  used by the live-predicate analysis and the boolean-program DCE.
+A pass in :mod:`repro.analysis` is an instance of one recipe: a lattice
+of facts, a transfer function per CFG node, and a forward worklist
+iteration (with optional widening) to a fixpoint.  The skeleton keeps
+that machinery in one place so the interval interpreter writes only its
+lattice and transfers (see ``docs/ANALYSIS.md``).
 
 Interprocedural passes additionally use :class:`CallGraph` for a
 bottom-up procedure order: callee summaries are computed before their
@@ -21,20 +14,15 @@ together until their summaries stabilize.
 
 from repro.cfront import cast as C
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 
 class DataflowAnalysis:
-    """One intraprocedural fixpoint problem over a function CFG.
+    """One intraprocedural forward fixpoint problem over a function CFG.
 
     Subclasses define the lattice and the transfers:
 
-    - ``direction`` — :data:`FORWARD` or :data:`BACKWARD`;
     - :meth:`bottom` — the least fact (the solver initializes every node
       with it);
-    - :meth:`boundary` — the fact at the flow source (the entry node's
-      in-fact for a forward pass, the exit node's out-fact backward);
+    - :meth:`boundary` — the entry node's in-fact;
     - :meth:`join` — least upper bound of two facts;
     - :meth:`equals` — fact equality (fixpoint detection);
     - :meth:`transfer` — ``transfer(node, fact)``: the fact after the
@@ -45,7 +33,6 @@ class DataflowAnalysis:
       ``widen_after`` visits; defaults to :meth:`join` (no widening).
     """
 
-    direction = FORWARD
     widen_after = None  # visits of one node before widening kicks in
 
     def __init__(self, cfg):
@@ -80,26 +67,16 @@ class DataflowAnalysis:
         """Iterate to the least fixpoint; returns ``self`` with
         ``fact_in`` / ``fact_out`` maps keyed by node uid.
 
-        ``fact_in[uid]`` is the fact flowing *into* the node along the
-        analysis direction (for a backward pass that is the fact after
-        the node in execution order), ``fact_out[uid]`` the fact after
-        applying the node's transfer.
+        ``fact_in[uid]`` is the fact flowing *into* the node,
+        ``fact_out[uid]`` the fact after applying the node's transfer.
+        Unreachable code stays at bottom (it never executes).
         """
         cfg = self.cfg
-        forward = self.direction == FORWARD
         self.fact_in = {node.uid: self.bottom() for node in cfg.nodes}
         self.fact_out = {node.uid: self.bottom() for node in cfg.nodes}
-        source = cfg.entry if forward else cfg.exit
-        self.fact_in[source.uid] = self.boundary()
+        self.fact_in[cfg.entry.uid] = self.boundary()
         visits = {}
-        if forward:
-            # Unreachable code stays at bottom (it never executes).
-            worklist = [source]
-        else:
-            # Seed every node: statements that cannot reach the exit (a
-            # nonterminating loop body) still execute, so their uses count.
-            worklist = [node for node in cfg.nodes if node is not source]
-            worklist.append(source)
+        worklist = [cfg.entry]
         queued = {node.uid for node in worklist}
         while worklist:
             node = worklist.pop()
@@ -109,7 +86,8 @@ class DataflowAnalysis:
             if self.equals(out, self.fact_out[node.uid]) and visits[node.uid] > 1:
                 continue
             self.fact_out[node.uid] = out
-            for successor, edge in self._flow_targets(node):
+            for edge in node.edges:
+                successor = edge.target
                 flowed = self.edge_transfer(node, edge, out)
                 joined = self.join(self.fact_in[successor.uid], flowed)
                 if (
@@ -124,21 +102,6 @@ class DataflowAnalysis:
                         worklist.append(successor)
                         queued.add(successor.uid)
         return self
-
-    def _flow_targets(self, node):
-        if self.direction == FORWARD:
-            return [(edge.target, edge) for edge in node.edges]
-        # Backward: predecessors, with the edge that leads back to us (for
-        # edge_transfer refinement, matched by target identity).
-        targets = []
-        for pred in node.preds:
-            edge = None
-            for candidate in pred.edges:
-                if candidate.target is node:
-                    edge = candidate
-                    break
-            targets.append((pred, edge))
-        return targets
 
     def _is_loop_head(self, node):
         """A node with an incoming back edge (a predecessor reachable from

@@ -1,20 +1,9 @@
 """Interval abstract interpretation over the C program.
 
-Two consumers share the machinery:
-
-- :class:`IntervalDischarger` decides cube validity queries *before* any
-  prover call: a query ``⋀cube ⟹ φ`` whose antecedents already bound the
-  goal under interval propagation never reaches DPLL(T).  The decision is
-  purely logical — it looks only at the query's expressions, never at
-  program points — so with the discharger on or off the cube search
-  explores the same cubes and emits byte-identical boolean programs
-  (the discharger answers ``True`` only for queries the prover itself
-  proves valid).
-- :class:`FunctionIntervals` runs a widening/narrowing forward pass over
-  a function CFG; its loop-head facts become candidate predicates when
-  Newton stalls (ROADMAP item 5): a diverging counter like ``x = x + 1``
-  often needs exactly the invariant ``x >= 0`` the intervals hand out
-  for free.
+:class:`FunctionIntervals` runs a widening/narrowing forward pass over a
+function CFG; its loop-head facts become candidate predicates when
+Newton stalls: a diverging counter like ``x = x + 1`` often needs
+exactly the invariant ``x >= 0`` the intervals hand out for free.
 
 The interval domain is classic: values are pairs ``(lo, hi)`` with
 ``None`` for ±∞; widening jumps unstable bounds to ∞ after a few loop
@@ -26,7 +15,7 @@ from repro.cfront import cast as C
 from repro.cfront.exprutils import fold_constants, is_trivially_false, is_trivially_true
 from repro.cfront.pretty import pretty_expr
 
-from repro.analysis.framework import FORWARD, DataflowAnalysis
+from repro.analysis.framework import DataflowAnalysis
 
 TOP = (None, None)
 
@@ -109,7 +98,6 @@ class IntervalAnalysis(DataflowAnalysis):
     callee may write globals and through escaped pointers).
     """
 
-    direction = FORWARD
     widen_after = 3
     narrow_rounds = 2
 
@@ -382,7 +370,7 @@ def interval_candidate_predicates(cfg, may_alias=None, limit=8):
     return candidates[:limit]
 
 
-# -- the pre-prover query discharger -------------------------------------------
+# -- the retired query discharger ----------------------------------------------
 
 
 def linear_form(expr):
@@ -481,12 +469,18 @@ class IntervalDischarger:
     Only affine facts participate.  The query is valid when the
     antecedents are contradictory (the cube is unsatisfiable) or when
     they force the goal's linear form to its satisfying range.
+
+    No production path calls this class any more: in front of every cube
+    query it cost more wall-clock than the prover calls it saved (serial
+    Table-2 ran about a third faster without it, for under 1% more
+    prover calls).  It stays, with its unit test, only because the
+    benchmark's layer ledger (``perfbench/tracer.py``) still resolves
+    :meth:`decide` when tracing; that ledger line now reads an exact 0.
+    The next benchmark change retires the class and the ledger entry
+    together.
     """
 
     passes = 4
-
-    def __init__(self, stats=None):
-        self.stats = stats
 
     def decide(self, antecedents, goal):
         constraints = []
@@ -498,20 +492,13 @@ class IntervalDischarger:
         env = {}
         contradictory = not self._propagate(constraints, env)
         if contradictory:
-            return self._hit()
+            return True
         goal = fold_constants(goal)
         if is_trivially_true(goal):
-            return self._hit()
+            return True
         if is_trivially_false(goal):
             return False  # only a contradictory cube would discharge this
-        if self._entails(goal, env):
-            return self._hit()
-        return False
-
-    def _hit(self):
-        if self.stats is not None:
-            self.stats.queries_discharged_interval += 1
-        return True
+        return self._entails(goal, env)
 
     # -- antecedent gathering ---------------------------------------------------
 

@@ -18,10 +18,8 @@ This module computes each answer once:
 
 Exactness contract: for any two keysets, ``TouchOracle.touch`` returns
 exactly what the pairwise loop would — text-equal lvalues are the ``a ==
-b`` case, ``may_alias`` answers are memoized verbatim, and the ECR
-buckets only skip pairs for which ``may_alias`` is guaranteed ``False``
-(distinct ECR roots, no text equality, no wildcard).  The fuzz oracle's
-analysis-off byte-equality differential enforces this contract.
+b`` case and ``may_alias`` answers are memoized verbatim
+(``tests/test_analysis.py::test_touch_oracle_matches_pairwise_semantics``).
 """
 
 from repro.cfront import cast as C

@@ -6,8 +6,8 @@ only affects a statement when it reaches the statement's mod/ref closure
 (it gains a slot there, or enters some slot's cone of influence).
 :class:`AbstractionReuse` caches each top-level statement's translated
 parts keyed by everything the translation reads — the statement text,
-the scope predicates inside its mod/ref closure, its liveness fact, and
-the involved signatures — so the next iteration re-translates only the
+the scope predicates inside its mod/ref closure and the involved
+signatures — so the next iteration re-translates only the
 statements the new predicates actually touch.
 
 Byte identity with a fresh run comes from reusing the parallel-merge

@@ -101,31 +101,6 @@ def _add_option_flags(parser):
         "(debug aid: malformed output fails at generation time)",
     )
     parser.add_argument(
-        "--no-analysis",
-        action="store_true",
-        help="disable the whole static-analysis subsystem (liveness "
-        "pruning, interval discharge, BP dead-variable elimination, "
-        "cross-iteration abstraction reuse)",
-    )
-    parser.add_argument(
-        "--no-live-predicates",
-        action="store_true",
-        help="disable live-predicate pruning (always run the cube search "
-        "for every (statement, predicate) slot)",
-    )
-    parser.add_argument(
-        "--no-intervals",
-        action="store_true",
-        help="disable the interval abstract interpreter (no pre-prover "
-        "query discharge, no Newton-stall candidate predicates)",
-    )
-    parser.add_argument(
-        "--no-bp-dce",
-        action="store_true",
-        help="model check the full boolean program instead of the "
-        "dead-variable-eliminated one",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="content-addressed persistent cache root: prover answers, "
@@ -203,10 +178,6 @@ def _options_from(args):
         jobs=max(args.jobs, 0),
         bebop_legacy=args.bebop_legacy,
         bebop_reuse=not args.no_bebop_reuse,
-        use_analysis=not args.no_analysis,
-        live_predicates=not args.no_live_predicates,
-        intervals=not args.no_intervals,
-        bp_dce=not args.no_bp_dce,
         cache_dir=args.cache_dir,
         persistent_cache=not args.no_persistent_cache,
         cache_max_bytes=args.cache_max_bytes,
@@ -264,20 +235,12 @@ def run_abstract(context, source, predicates_text, out, name="<input>"):
 
 def run_check(
     context, source, predicates_text, out, name="<input>", entry="main",
-    labels=(), bp_dce=True,
+    labels=(),
 ):
     program = parse_c_program(source, name=name)
     predicates = parse_predicate_file(predicates_text, program)
     tool = C2bp(program, predicates, context=context)
     boolean_program = tool.run()
-    # Labeled invariant queries observe every predicate, so DCE only
-    # applies to plain reachability checks.
-    if tool.analysis is not None and bp_dce and not labels:
-        from repro.analysis import eliminate_dead_variables
-
-        boolean_program, _ = eliminate_dead_variables(
-            boolean_program, stats=context.analysis_stats
-        )
     result = Bebop(boolean_program, main=entry, context=context).run()
     for label in labels or ():
         proc, _, label_name = label.rpartition(":")
@@ -450,7 +413,6 @@ def _check(args, out):
                 "name": args.program,
                 "entry": args.entry,
                 "labels": args.label or [],
-                "bp_dce": not args.no_bp_dce,
             },
             out,
         )
@@ -458,7 +420,6 @@ def _check(args, out):
         code = run_check(
             context, _read(args.program), _read(args.predicates), out,
             name=args.program, entry=args.entry, labels=args.label or (),
-            bp_dce=not args.no_bp_dce,
         )
         _write_instrumentation(args, context)
     return code

@@ -40,13 +40,14 @@ from repro.cfront import cast as C
 from repro.cfront.pretty import pretty_stmt
 from repro.boolprog import ast as B
 from repro.pointers import PointsToAnalysis
-from repro.analysis import ProgramAnalyses, TouchOracle, ensure_analysis_stats
+from repro.analysis import ProgramAnalyses, ensure_analysis_stats
 from repro.analysis.modref import location_keyset
 from repro.core.calls import abstract_call
 from repro.core.cubes import CubeSearch
 from repro.core.signatures import compute_signatures
-from repro.core.stats import C2bpStats, Timer
+from repro.core.stats import C2bpStats
 from repro.engine import EngineContext
+from repro.engine.stats import Timer
 from repro.prover import cnf as cnf_module
 from repro.prover import sat as sat_module
 
@@ -92,24 +93,18 @@ class C2bp:
         self.prover = self.context.prover
         self.points_to = points_to or PointsToAnalysis(program)
         self.signatures = compute_signatures(program, predicates)
-        self.analysis = None
-        if getattr(self.options, "use_analysis", True):
-            self.analysis = ProgramAnalyses(
-                program,
-                predicates,
-                self.signatures,
-                self.options,
-                self.points_to,
-                ensure_analysis_stats(self.context),
-            )
+        self.analysis = ProgramAnalyses(
+            program,
+            predicates,
+            self.signatures,
+            self.options,
+            self.points_to,
+            ensure_analysis_stats(self.context),
+        )
         # Cross-iteration statement-abstraction cache (CEGAR hands one
         # in); the serial and the pool path both consult it.
-        self.reuse = reuse if self.analysis is not None else None
-        if (
-            self.reuse is None
-            and self.analysis is not None
-            and getattr(self.context, "store", None) is not None
-        ):
+        self.reuse = reuse
+        if self.reuse is None and getattr(self.context, "store", None) is not None:
             # A persistent store is configured: even a one-shot run reads
             # and populates the cross-run statement cache (the warm-run
             # fast path).  Imported lazily — repro.serve sits above core.
@@ -121,10 +116,7 @@ class C2bp:
                 stats=ensure_analysis_stats(self.context),
             )
         self.search = CubeSearch(
-            self.prover,
-            self.options,
-            events=self.context.events,
-            discharger=self.analysis.discharger if self.analysis else None,
+            self.prover, self.options, events=self.context.events
         )
         self.stats = C2bpStats()
         self.context.stats.register("c2bp", self.stats)
@@ -209,7 +201,6 @@ class C2bp:
                     else:
                         enforce = self.search.enforce_expr(scope)
                         self.reuse.store_enforce(key, enforce)
-                self.analysis.compute_liveness(func.name, enforce)
                 parts = []
                 for index, stmt in enumerate(func.body):
                     stmt_key = self.analysis.statement_key(func, index, stmt)
@@ -329,36 +320,21 @@ class C2bp:
             boolean_program = B.BProgram()
             boolean_program.globals = [p.name for p in self.predicates.globals]
             funcs = list(self.program.defined_functions())
-            # With liveness on, Ω must be known before any statement task
-            # runs (its variables anchor the always-live set), so the
-            # enforce computations happen here, in the parent — the Ω
-            # expressions ship to the workers in the configure payload,
-            # which replay compute_liveness to identical facts instead of
-            # racing on enforce tasks.  Reuse lookups and records happen
-            # here too; only the misses go to the pool.
-            live = self.analysis is not None and self.analysis.live_enabled
-            precomputed = {}
+            # Reuse lookups and records happen here, in the parent; only
+            # the misses go to the pool.
+            precomputed = {}  # func name -> enforce invariant known up front
             for func in funcs:
-                before = self.prover.stats.calls
                 enforce = None
-                scope = self.predicates.in_scope(func.name)
-                if self.options.compute_enforce and scope:
+                if self.options.compute_enforce and self.predicates.in_scope(
+                    func.name
+                ):
                     hit = False
                     if self.reuse is not None:
                         enforce_key = self.analysis.enforce_key(func.name)
                         hit, enforce = self.reuse.fetch_enforce(enforce_key)
                     if not hit:
-                        if not live:
-                            continue  # an enforce task computes it
-                        enforce = self.search.enforce_expr(scope)
-                        if self.reuse is not None:
-                            self.reuse.store_enforce(enforce_key, enforce)
-                if self.analysis is not None:
-                    self.analysis.compute_liveness(func.name, enforce)
-                precomputed[func.name] = (
-                    enforce,
-                    self.prover.stats.calls - before,
-                )
+                        continue  # an enforce task computes it
+                precomputed[func.name] = enforce
             tasks = []
             reused = {}  # (func name, index) -> cached statement payload
             stmt_keys = {}  # (func name, index) -> reuse key of a miss
@@ -381,10 +357,6 @@ class C2bp:
                         "program": self.program,
                         "predicates": self.predicates,
                         "options": self.options.copy(jobs=1),
-                        "enforce": {
-                            name: enforce
-                            for name, (enforce, _) in precomputed.items()
-                        },
                         # Only what the workers have not seen yet: the
                         # pool remembers how much of the (append-only)
                         # parent cache previous configures shipped.
@@ -399,9 +371,8 @@ class C2bp:
                 func.name: {"parts": {}, "enforce": None, "calls": 0}
                 for func in funcs
             }
-            for func_name, (enforce, calls) in precomputed.items():
+            for func_name, enforce in precomputed.items():
                 merged[func_name]["enforce"] = enforce
-                merged[func_name]["calls"] += calls
             for (func_name, index), payload in reused.items():
                 for name, value in payload["c2bp"].items():
                     setattr(self.stats, name, getattr(self.stats, name) + value)
@@ -426,13 +397,12 @@ class C2bp:
                         cnf_module.COUNTERS[key] += value
                 for name, value in result["c2bp"].items():
                     setattr(self.stats, name, getattr(self.stats, name) + value)
-                if self.analysis is not None:
-                    for name, value in result.get("analysis", {}).items():
-                        setattr(
-                            self.analysis.stats,
-                            name,
-                            getattr(self.analysis.stats, name) + value,
-                        )
+                for name, value in result["analysis"].items():
+                    setattr(
+                        self.analysis.stats,
+                        name,
+                        getattr(self.analysis.stats, name) + value,
+                    )
                 for event in result["events"]:
                     data = {
                         key: value
@@ -532,16 +502,7 @@ class _ProcedureAbstractor:
         self.scope_predicates = parent.predicates.in_scope(func.name)
         self.local_predicates = parent.predicates.for_procedure(func.name)
         self._may_alias = parent.may_alias(func.name)
-        analysis = parent.analysis
-        if analysis is not None:
-            self._toucher = analysis.toucher(func.name)
-            # Solved facts if liveness already ran for this procedure
-            # (reuse and parallel paths solve it up front); the serial
-            # path fills this in from abstract() once Ω is known.
-            self._liveness = analysis.liveness(func.name)
-        else:
-            self._toucher = TouchOracle(self._may_alias)
-            self._liveness = None
+        self._toucher = parent.analysis.toucher(func.name)
         self._temp_counter = 0
         self._temp_prefix = temp_prefix
         self._extra_locals = []
@@ -619,20 +580,8 @@ class _ProcedureAbstractor:
         return None
 
     def abstract(self):
-        analysis = self.parent.analysis
-        enforce = None
-        enforce_done = False
-        if analysis is not None and analysis.live_enabled:
-            # Liveness anchors the predicates Ω reads as always-live, so Ω
-            # is computed before the body.  The reorder is answer-neutral:
-            # both are independent cube searches against the same cached
-            # prover.
-            enforce = self._compute_enforce()
-            enforce_done = True
-            self._liveness = analysis.compute_liveness(self.func.name, enforce)
         body = self._abstract_body(self.func.body)
-        if not enforce_done:
-            enforce = self._compute_enforce()
+        enforce = self._compute_enforce()
         formal_names = [p.name for p in self.signature.formal_predicates]
         local_names = [
             p.name
@@ -712,16 +661,6 @@ class _ProcedureAbstractor:
                 stmt.lhs, stmt.rhs, predicate.expr, self._may_alias
             ):
                 self.parent.stats.assignments_skipped_unchanged += 1
-                continue
-            if self._liveness is not None and not self._liveness.is_live(
-                stmt, predicate.name
-            ):
-                # Dead slot: the predicate's value after this statement
-                # cannot reach any observation point, so unknown() (which
-                # over-approximates any choose) replaces the cube search.
-                self.parent.analysis.stats.predicates_skipped_dead += 1
-                targets.append(predicate.name)
-                values.append(B.BUnknown())
                 continue
             wp_pos = weakest_precondition(
                 stmt.lhs, stmt.rhs, predicate.expr, self._may_alias

@@ -54,16 +54,10 @@ _PRUNE = "prune"
 class CubeSearch:
     """Shared machinery for F/G computations against one prover."""
 
-    def __init__(self, prover, options, events=None, discharger=None):
+    def __init__(self, prover, options, events=None):
         self.prover = prover
         self.options = options
         self.events = events
-        # Optional pre-prover query discharger (the interval abstract
-        # interpreter): decides a cube implication without any SAT call
-        # when cheap arithmetic propagation already settles it.  Sound
-        # and strictly weaker than the prover, so enabling it changes
-        # prover traffic but never a search outcome.
-        self.discharger = discharger
 
     def _cube_session(self, candidates, goal):
         """A cube-decision session over the candidates' concretizations
@@ -106,27 +100,12 @@ class CubeSearch:
                         pruned.append(record)
         return kept
 
-    def _decide(self, session, cube):
-        """One cube implication, tried against the discharger first.
-        A discharged decision reports no assumption core — the keep-side
-        record is then the cube itself, exactly what a one-shot backend
-        records.  Discharged answers are tallied under their own
-        ``queries_discharged`` stats key, before any prover timer starts,
-        so they do not read as zero-time generalize entries in the
-        per-query time attribution."""
-        if self.discharger is not None:
-            exprs = session.cube_exprs(cube)
-            if self.discharger.decide(exprs, session.goal):
-                self.prover.stats.queries_discharged += 1
-                return True, None
-        return session.implies_cube(cube)
-
     def _cube_query(self, session, cube, purpose):
         """One cube decision, reported as a ``cube-test`` event.  Returns
         ``(result, record)`` where ``record`` is the sub-cube to prune
         with: the assumption core when one shrank the cube, else the cube
         itself."""
-        result, core = self._decide(session, cube)
+        result, core = session.implies_cube(cube)
         if self.events is not None:
             self.events.emit(
                 "cube-test", purpose=purpose, cube_size=len(cube), result=result
@@ -157,7 +136,7 @@ class CubeSearch:
         # cache key with Prover.is_valid(phi) and warms the session whose
         # solver state every subsequent cube of this call reuses.
         implies_phi = self._cube_session(candidates, phi)
-        valid, _ = self._decide(implies_phi, ())
+        valid, _ = implies_phi.implies_cube(())
         if valid:
             return [Cube()]
         implies_not_phi = self._cube_session(candidates, C.negate(phi))
@@ -168,7 +147,7 @@ class CubeSearch:
         # each cube with an *empty* assumption core (pruning everything),
         # while one-shot queries keep the vacuous implicants they happen
         # to test first.
-        refuted, _ = self._decide(implies_not_phi, ())
+        refuted, _ = implies_not_phi.implies_cube(())
         if refuted:
             return []
 

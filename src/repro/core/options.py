@@ -78,31 +78,6 @@ class C2bpOptions:
     #: unchanged procedures across CEGAR iterations (fast path only).
     bebop_reuse: bool = True
 
-    #: Master switch for the static-analysis subsystem
-    #: (:mod:`repro.analysis`).  Off reproduces the pre-analysis pipeline
-    #: exactly: no liveness pruning, no interval discharge, no BP DCE,
-    #: no cross-iteration abstraction reuse.
-    use_analysis: bool = True
-
-    #: Backward live-predicate analysis: C2bp emits ``unknown()`` for
-    #: (statement, predicate) slots whose value cannot reach any
-    #: observation point, skipping their cube searches, and the CEGAR
-    #: loop reuses translations of statements the new predicates cannot
-    #: touch.  Requires ``use_analysis``.
-    live_predicates: bool = True
-
-    #: Interval abstract interpretation: discharge cube validity queries
-    #: the intervals already decide before any prover call, and export
-    #: loop-head invariants as candidate predicates when Newton stalls.
-    #: Requires ``use_analysis``.
-    intervals: bool = True
-
-    #: Boolean-program dead-variable elimination before model checking
-    #: (never-read variables and their assignments are removed; verdicts
-    #: and label invariants over surviving variables are unchanged).
-    #: Requires ``use_analysis``.
-    bp_dce: bool = True
-
     #: Root directory of the content-addressed persistent cache
     #: (:class:`repro.serve.PersistentStore`).  ``None`` (the default)
     #: keeps every cache in-process, exactly the pre-serve behaviour;

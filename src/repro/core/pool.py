@@ -13,8 +13,7 @@ lemmas, or prover-cache entries from one abstraction run to the next.
   :class:`repro.engine.EngineContext`) and persist across statements and
   CEGAR iterations;
 - each abstraction run re-targets them with one ``configure`` message
-  carrying the pickled program, predicates, options, the precomputed
-  ``enforce`` invariants (liveness anchors), and the parent's
+  carrying the pickled program, predicates, options, and the parent's
   prover-cache *delta* since the last configure — workers keep their own
   :class:`repro.prover.cache.QueryCache` alive across configures, so
   iteration ``i+1`` starts with everything any process learned in
@@ -245,13 +244,6 @@ class _WorkerState:
         self.tool = C2bp(
             payload["program"], payload["predicates"], context=context
         )
-        if self.tool.analysis is not None and self.tool.analysis.live_enabled:
-            # The parent solved enforce pre-fork (Ω anchors the always-live
-            # set); replaying compute_liveness with the shipped Ω gives the
-            # worker identical liveness facts without re-running the cube
-            # searches.
-            for func_name, enforce in payload["enforce"].items():
-                self.tool.analysis.compute_liveness(func_name, enforce)
 
     def run_task(self, task):
         """Translate one top-level statement (or compute one procedure's
@@ -268,9 +260,7 @@ class _WorkerState:
         tool.prover.stats.reset()
         tool.stats.__init__()
         tool.temp_meanings.clear()
-        analysis_before = (
-            tool.analysis.stats.snapshot() if tool.analysis is not None else None
-        )
+        analysis_before = tool.analysis.stats.snapshot()
         sat_before = dict(sat_module.COUNTERS)
         cnf_before = dict(cnf_module.COUNTERS)
         store_before = (
@@ -317,14 +307,11 @@ class _WorkerState:
             (temp_name, meaning)
             for (_, temp_name), meaning in tool.temp_meanings.items()
         ]
-        if analysis_before is not None:
-            payload["analysis"] = {
-                name: value - analysis_before[name]
-                for name, value in tool.analysis.stats.snapshot().items()
-                if value != analysis_before[name]
-            }
-        else:
-            payload["analysis"] = {}
+        payload["analysis"] = {
+            name: value - analysis_before[name]
+            for name, value in tool.analysis.stats.snapshot().items()
+            if value != analysis_before[name]
+        }
         payload["events"] = list(events.events)
         if store_before is not None:
             after = self.store.counters_with_namespaces()

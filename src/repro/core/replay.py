@@ -6,8 +6,12 @@
 
 The replayer runs the C program concretely, recording for every executed
 statement the truth value of every predicate in scope (before and after the
-statement).  It then re-executes the *boolean* program, resolving each
-nondeterministic choice from the recording:
+statement).  A predicate that reads through a null or uninitialized
+pointer has no concrete value; it is recorded under one fixed completion
+of the state instead (see :class:`_CompletedReads`), so the recorded
+valuation is always one a single logical state satisfies.  The replayer
+then re-executes the *boolean* program, resolving each nondeterministic
+choice from the recording:
 
 - ``*`` branch choices follow the concrete branch outcomes;
 - ``unknown()`` / ``choose`` fall-throughs take the predicate's concrete
@@ -22,7 +26,8 @@ reported; a clean replay is evidence for Theorem 1 on this trace.
 """
 
 from repro.boolprog.interp import AssumeBlocked, BoolProgramInterpreter
-from repro.cfront.interp import InterpError, Interpreter, truthy
+from repro.cfront import cast as C
+from repro.cfront.interp import Cell, InterpError, Interpreter, truthy
 from repro.core.calls import translate_to_caller
 
 
@@ -53,6 +58,37 @@ class ReplayReport:
             self.violations,
             self.blocked,
         )
+
+
+class _CompletedReads(Interpreter):
+    """A view of a running :class:`Interpreter` that evaluates predicates
+    under one fixed completion of its state.
+
+    A dereference (or index) of a pointer that is not a cell reads a
+    phantom cell: distinct from every variable and holding the
+    interpreter's default ``0``.  Without it such a predicate is
+    undefined, and mapping every undefined predicate to ``False`` on its
+    own can record a valuation no state satisfies (``*p != 0`` and
+    ``*p <= a`` both false while ``a == 0``); the abstraction then soundly
+    derives consequences of that impossible state, which the state check
+    would misreport as soundness bugs.  Execution never goes through this
+    view: the program still traps on a real null dereference.
+    """
+
+    def __init__(self, interp):
+        # Share every attribute (globals, oracle, wrap width) with the
+        # executing interpreter, so the view sees its current state.
+        self.__dict__ = interp.__dict__
+
+    def lvalue_cell(self, expr, env):
+        if isinstance(expr, C.Deref):
+            pointer = self.eval_expr(expr.pointer, env)
+            return pointer if isinstance(pointer, Cell) else Cell(0, "<phantom>")
+        if isinstance(expr, C.Index) and not isinstance(
+            self.eval_expr(expr.base, env), Cell
+        ):
+            return Cell(0, "<phantom>")
+        return super().lvalue_cell(expr, env)
 
 
 class _Event:
@@ -122,10 +158,11 @@ class TraceReplayer:
         # "pre"/"post" pairs nest across procedure calls (a CallStmt's post
         # fires after all of the callee's events), so match them by stack.
         open_events = []
+        completed = _CompletedReads(interp)
 
         def evaluate(expr, env):
             try:
-                value = interp.eval_expr(expr, env)
+                value = completed.eval_expr(expr, env)
             except InterpError:
                 return None  # predicate undefined in this state
             return truthy(value)
@@ -153,8 +190,6 @@ class TraceReplayer:
         return observer
 
     def _record_call_args(self, event, stmt, env, evaluate):
-        from repro.cfront import cast as C
-
         if not isinstance(stmt, C.CallStmt):
             return
         callee = self.program.functions.get(stmt.name)
@@ -201,7 +236,7 @@ class TraceReplayer:
 
     def _eval_static(self, interp, expr):
         try:
-            return truthy(interp.eval_expr(expr, {}))
+            return truthy(_CompletedReads(interp).eval_expr(expr, {}))
         except InterpError:
             return None
 
@@ -367,8 +402,6 @@ def _collect_update_sids(boolean_program):
 
 
 def _is_branch(stmt):
-    from repro.cfront import cast as C
-
     return isinstance(stmt, (C.If, C.While))
 
 

@@ -7,8 +7,6 @@ for that run*, so they stay meaningful when the CEGAR loop reuses one
 prover across iterations.
 """
 
-import time
-
 
 class C2bpStats:
     """Counters for one C2bp run."""
@@ -43,21 +41,3 @@ class C2bpStats:
     def __repr__(self):
         return "C2bpStats(%r)" % (self.snapshot(),)
 
-
-class Timer:
-    """Context manager adding elapsed wall-clock time to an attribute."""
-
-    def __init__(self, stats, attribute="seconds"):
-        self.stats = stats
-        self.attribute = attribute
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info):
-        elapsed = time.perf_counter() - self._start
-        setattr(
-            self.stats, self.attribute, getattr(self.stats, self.attribute) + elapsed
-        )
-        return False

@@ -24,8 +24,11 @@ import time
 #: every snapshot.  Bump on breaking changes to section names or field
 #: meanings; documented in docs/PERFORMANCE.md.  Version 2 added the
 #: field itself plus the ``persistent_cache`` section; version 3 renamed
-#: the prover's ``time_in_theory_cache`` to ``time_in_theory_fallback``.
-SCHEMA_VERSION = 3
+#: the prover's ``time_in_theory_cache`` to ``time_in_theory_fallback``;
+#: version 4 removed the counters of the retired interval-discharge,
+#: live-predicate and boolean-program DCE passes from the ``prover``,
+#: ``analysis`` and CEGAR per-iteration sections.
+SCHEMA_VERSION = 4
 
 
 class PhaseAccumulator:

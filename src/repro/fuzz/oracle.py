@@ -65,7 +65,6 @@ from repro.prover import DpllTBackend
 KIND_SOUNDNESS = "soundness"          # Theorem-1 replay violation
 KIND_ENGINE = "engine-divergence"     # fast / legacy / explicit disagree
 KIND_BMC = "bmc-divergence"           # bit-precise BMC / pipeline disagree
-KIND_ANALYSIS = "analysis-divergence"  # analysis on/off disagree
 KIND_ABSTRACTION = "abstraction-divergence"  # reference / jobs text differs
 KIND_CACHE = "cache-divergence"       # persistent cache changed bytes/verdict
 KIND_INVALID_BP = "invalid-bp"        # validator rejected BP(P, E)
@@ -218,15 +217,6 @@ class SoundnessOracle:
         if cache_failure is not None:
             return cache_failure
 
-        # 2.5. Static-analysis differentials: identity mode must be a
-        # byte-level no-op, and the pruning passes must preserve the
-        # model-checking verdict and failure sites.
-        analysis_failure = self._check_analysis(
-            case, program, predicates, boolean_program, report
-        )
-        if analysis_failure is not None:
-            return analysis_failure
-
         # 3. Model-checking engines.
         engine_failure, fast_run = self._check_engines(case, boolean_program, report)
         if engine_failure is not None:
@@ -294,65 +284,6 @@ class SoundnessOracle:
             return None
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
-
-    def _check_analysis(self, case, program, predicates, boolean_program, report):
-        from repro.analysis import eliminate_dead_variables
-
-        _, off_bp = self._abstract(
-            program, predicates,
-            self.make_options(validate_output=True, use_analysis=False),
-        )
-        off_printed = print_bool_program(off_bp)
-        # Identity mode: the subsystem enabled but every transforming
-        # pass off must be byte-identical to the pre-analysis pipeline
-        # (pins the memoized cone/touch rewrite as a pure optimization).
-        _, identity_bp = self._abstract(
-            program, predicates,
-            self.make_options(
-                validate_output=True,
-                live_predicates=False,
-                intervals=False,
-                bp_dce=False,
-            ),
-        )
-        identity_printed = print_bool_program(identity_bp)
-        if identity_printed != off_printed:
-            return report.fail(
-                KIND_ANALYSIS,
-                "identity-mode analysis and --no-analysis boolean programs "
-                "differ:\n" + _first_diff(off_printed, identity_printed),
-            )
-        on_run = Bebop(boolean_program, main=case.entry).run()
-        off_run = Bebop(off_bp, main=case.entry).run()
-        if on_run.error_reached != off_run.error_reached:
-            return report.fail(
-                KIND_ANALYSIS,
-                "verdict with analysis on %r but off %r"
-                % (on_run.error_reached, off_run.error_reached),
-            )
-        on_sites = _failure_sites(on_run)
-        off_sites = _failure_sites(off_run)
-        if on_sites != off_sites:
-            return report.fail(
-                KIND_ANALYSIS,
-                "assertion sites with analysis on %r but off %r"
-                % (sorted(on_sites), sorted(off_sites)),
-            )
-        # DCE purity: removing never-read variables must not change the
-        # verdict or the failing sites of the same program.
-        dce_bp, removed = eliminate_dead_variables(boolean_program)
-        if removed:
-            dce_run = Bebop(dce_bp, main=case.entry).run()
-            if (
-                dce_run.error_reached != on_run.error_reached
-                or _failure_sites(dce_run) != on_sites
-            ):
-                return report.fail(
-                    KIND_ANALYSIS,
-                    "BP dead-variable elimination changed the verdict "
-                    "(%r -> %r)" % (on_run.error_reached, dce_run.error_reached),
-                )
-        return None
 
     def _check_engines(self, case, boolean_program, report):
         """Returns ``(failure, fast_run)`` — the fast Bebop run is reused

@@ -62,10 +62,6 @@ class ProverStats:
         self.theory_delta_queries = 0  # queries answered by delta closure
         self.theory_cache_hits = 0  # fallback queries answered from cache
         self.allsat_sweep_theory_deltas = 0  # delta queries inside sweeps
-        # Cube queries settled by the static-analysis discharger before
-        # any prover work (and before the prover timers start), kept
-        # distinct so they do not read as zero-time generalize entries.
-        self.queries_discharged = 0
         # Per-phase wall-clock attribution (seconds), accumulated from the
         # incremental cube sessions so benchmark rows can say *where* the
         # time went: encoding, SAT solving, or core/model work.
@@ -102,7 +98,6 @@ class ProverStats:
             "theory_delta_queries": self.theory_delta_queries,
             "theory_cache_hits": self.theory_cache_hits,
             "allsat_sweep_theory_deltas": self.allsat_sweep_theory_deltas,
-            "queries_discharged": self.queries_discharged,
             "time_in_encode": round(self.time_in_encode, 6),
             "time_in_solve": round(self.time_in_solve, 6),
             "time_in_generalize": round(self.time_in_generalize, 6),

@@ -102,10 +102,9 @@ def query_store_key(key):
     """The store key text for an in-memory :class:`QueryCache` key.
 
     Prover answers depend only on the query (the incremental cube engine
-    answers exactly like one-shot queries, and every analysis
-    configuration is pinned answer-invisible), so the options
-    fingerprint is deliberately absent: runs under different ablation
-    configurations share prover entries.
+    answers exactly like one-shot queries), so the options fingerprint
+    is deliberately absent: runs under different ablation configurations
+    share prover entries.
     """
     kind, exprs, consequent = key
     return _digest_text("prover", canonical_query_text(kind, exprs, consequent))
@@ -114,9 +113,9 @@ def query_store_key(key):
 #: The :class:`repro.core.options.C2bpOptions` fields a statement's
 #: translation (and enforce invariant) can read.  Deliberately excludes
 #: the answer-invisible knobs — ``cache_prover``, ``jobs``, the Bebop
-#: engine selection, ``bp_dce`` (a post-pass), ``validate_output``, the
-#: BMC settings, and the cache wiring itself — so configurations that
-#: provably print the same bytes share statement entries.
+#: engine selection, ``validate_output``, the BMC settings, and the
+#: cache wiring itself — so configurations that provably print the same
+#: bytes share statement entries.
 SEMANTIC_OPTION_FIELDS = (
     "max_cube_length",
     "cone_of_influence",
@@ -127,9 +126,6 @@ SEMANTIC_OPTION_FIELDS = (
     "enforce_cube_length",
     "use_alias_analysis",
     "invalidate_constant_derefs",
-    "use_analysis",
-    "live_predicates",
-    "intervals",
 )
 
 
@@ -146,8 +142,7 @@ def statement_store_key(stmt_key, options):
 
     ``stmt_key`` is :meth:`repro.analysis.ProgramAnalyses.statement_key`
     output — a nested tuple of strings/ints whose ``repr`` is process
-    stable (predicate names are content-derived, liveness fact tuples are
-    sorted)."""
+    stable (predicate names are content-derived)."""
     return _digest_text(
         "c2bp-stmt", "%s|%s" % (options_fingerprint(options), repr(stmt_key))
     )

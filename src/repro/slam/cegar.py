@@ -18,11 +18,7 @@ reuse shows up in ``--stats-json`` output.
 
 import time
 
-from repro.analysis import (
-    AbstractionReuse,
-    eliminate_dead_variables,
-    ensure_analysis_stats,
-)
+from repro.analysis import AbstractionReuse, ensure_analysis_stats
 from repro.bebop import Bebop, BebopReuse, ExplicitEngine
 from repro.cfront import cast as C
 from repro.cfront.exprutils import variables
@@ -49,9 +45,6 @@ class IterationStats:
         "seconds",
         "bebop_transfers_compiled",
         "bebop_transfers_reused",
-        "predicates_skipped_dead",
-        "queries_discharged_interval",
-        "bp_vars_eliminated",
         "modref_summary_hits",
     )
 
@@ -66,9 +59,6 @@ class IterationStats:
         cache_hits=0,
         bebop_transfers_compiled=0,
         bebop_transfers_reused=0,
-        predicates_skipped_dead=0,
-        queries_discharged_interval=0,
-        bp_vars_eliminated=0,
         modref_summary_hits=0,
     ):
         self.iteration = iteration
@@ -80,9 +70,6 @@ class IterationStats:
         self.seconds = seconds
         self.bebop_transfers_compiled = bebop_transfers_compiled
         self.bebop_transfers_reused = bebop_transfers_reused
-        self.predicates_skipped_dead = predicates_skipped_dead
-        self.queries_discharged_interval = queries_discharged_interval
-        self.bp_vars_eliminated = bp_vars_eliminated
         self.modref_summary_hits = modref_summary_hits
 
     def snapshot(self):
@@ -96,9 +83,6 @@ class IterationStats:
             "seconds": round(self.seconds, 6),
             "bebop_transfers_compiled": self.bebop_transfers_compiled,
             "bebop_transfers_reused": self.bebop_transfers_reused,
-            "predicates_skipped_dead": self.predicates_skipped_dead,
-            "queries_discharged_interval": self.queries_discharged_interval,
-            "bp_vars_eliminated": self.bp_vars_eliminated,
             "modref_summary_hits": self.modref_summary_hits,
         }
 
@@ -147,9 +131,7 @@ class CegarResult:
 def _interval_fallback_predicates(program, tool, predicates):
     """Candidate predicates from the interval analysis' loop-head
     invariants, deduplicated against the current set (Newton-stall
-    fallback; empty when intervals are disabled)."""
-    if tool.analysis is None:
-        return []
+    fallback)."""
     existing = set()
     for p in predicates.all_predicates():
         existing.add((p.scope, p.expr))
@@ -256,18 +238,15 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
         ctx.stats.register("bebop_reuse", reuse.snapshot)
     # Cross-iteration statement-abstraction cache (serial and pool paths
     # alike: the pool path looks statements up in the parent).
-    abstraction_reuse = None
-    analysis_stats = None
-    if getattr(ctx.options, "use_analysis", True):
-        analysis_stats = ensure_analysis_stats(ctx)
-        if getattr(ctx, "store", None) is not None:
-            from repro.serve import PersistentAbstractionReuse
+    analysis_stats = ensure_analysis_stats(ctx)
+    if getattr(ctx, "store", None) is not None:
+        from repro.serve import PersistentAbstractionReuse
 
-            abstraction_reuse = PersistentAbstractionReuse(
-                ctx.store, ctx.options, stats=analysis_stats
-            )
-        else:
-            abstraction_reuse = AbstractionReuse(stats=analysis_stats)
+        abstraction_reuse = PersistentAbstractionReuse(
+            ctx.store, ctx.options, stats=analysis_stats
+        )
+    else:
+        abstraction_reuse = AbstractionReuse(stats=analysis_stats)
     started = time.perf_counter()
     stats = []
     iteration_log = IterationLog()
@@ -280,26 +259,17 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
         calls_before = engine_prover.stats.calls
         queries_before = engine_prover.stats.queries
         hits_before = engine_prover.stats.cache_hits
-        analysis_before = (
-            analysis_stats.snapshot() if analysis_stats is not None else {}
-        )
+        summary_hits_before = analysis_stats.modref_summary_hits
         tool = C2bp(program, predicates, context=ctx, reuse=abstraction_reuse)
         boolean_program = tool.run()
-        # Model-check the DCE'd program; the result object carries the
-        # full translation (its label invariants name every predicate).
-        checked_program = boolean_program
-        if tool.analysis is not None and getattr(ctx.options, "bp_dce", True):
-            checked_program, _ = eliminate_dead_variables(
-                boolean_program, stats=analysis_stats
-            )
-        bebop = Bebop(checked_program, main=main, context=ctx, reuse=reuse)
+        bebop = Bebop(boolean_program, main=main, context=ctx, reuse=reuse)
         check = bebop.run()
         if not check.error_reached:
             result = CegarResult("safe", iteration, predicates,
                                  boolean_program=boolean_program)
         else:
             # A reachable failing assert: extract a concrete boolean path.
-            engine = ExplicitEngine(checked_program, main=main)
+            engine = ExplicitEngine(boolean_program, main=main)
             bool_path = engine.find_assertion_failure()
             if bool_path is None:
                 # The symbolic engine says reachable but no explicit witness
@@ -341,13 +311,6 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
                 else:
                     for predicate in newton.new_predicates:
                         predicates.add(predicate)
-        analysis_after = (
-            analysis_stats.snapshot() if analysis_stats is not None else {}
-        )
-
-        def _delta(name):
-            return analysis_after.get(name, 0) - analysis_before.get(name, 0)
-
         record = IterationStats(
             len(predicates),
             engine_prover.stats.calls - calls_before,
@@ -358,10 +321,9 @@ def _cegar_loop(program, initial_predicates, main, max_iterations, ctx):
             cache_hits=engine_prover.stats.cache_hits - hits_before,
             bebop_transfers_compiled=bebop.transfers_compiled,
             bebop_transfers_reused=bebop.transfers_reused,
-            predicates_skipped_dead=_delta("predicates_skipped_dead"),
-            queries_discharged_interval=_delta("queries_discharged_interval"),
-            bp_vars_eliminated=_delta("bp_vars_eliminated"),
-            modref_summary_hits=_delta("modref_summary_hits"),
+            modref_summary_hits=(
+                analysis_stats.modref_summary_hits - summary_hits_before
+            ),
         )
         stats.append(record)
         iteration_log.append(record.snapshot())

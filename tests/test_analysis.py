@@ -1,30 +1,14 @@
-"""The static-analysis subsystem: hand-checked mod/ref and liveness
-facts, interval fixpoints and the query discharger, boolean-program
-dead-variable elimination (with a simulation-equivalence property test),
-and the cross-iteration abstraction reuse."""
+"""The static-analysis subsystem: hand-checked mod/ref facts, interval
+fixpoints and Newton-stall candidate predicates, and the cross-iteration
+abstraction reuse."""
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
-
-from repro.analysis import (
-    WILDCARD,
-    ModRefSummaries,
-    TouchOracle,
-    eliminate_dead_variables,
-    location_keyset,
-)
+from repro.analysis import WILDCARD, ModRefSummaries, TouchOracle, location_keyset
 from repro.analysis.intervals import (
     FunctionIntervals,
     IntervalDischarger,
     interval_candidate_predicates,
-)
-from repro.bebop import Bebop
-from repro.boolprog.interp import (
-    AssumeBlocked,
-    BoolAssertionFailure,
-    BoolInterpError,
-    BoolProgramInterpreter,
 )
 from repro.boolprog.printer import print_bool_program
 from repro.cfront import parse_c_program
@@ -33,7 +17,8 @@ from repro.cfront.parser import parse_expression
 from repro.cfront.pretty import pretty_expr
 from repro.core import C2bp, C2bpOptions, parse_predicate_file
 from repro.engine import EngineContext
-from repro.fuzz import ProgramGenerator
+from repro.programs import get_driver
+from repro.slam import SafetySpec, check_property
 from repro.slam.cegar import _interval_fallback_predicates, cegar_loop
 
 
@@ -113,65 +98,6 @@ def test_touch_oracle_matches_pairwise_semantics():
     assert TouchOracle(None).touch(starred, other)
 
 
-# -- live predicates ----------------------------------------------------------------
-
-LIVE_SOURCE = """
-void main(int x) {
-    int a, b;
-    a = x + 1;
-    b = 0;
-    a = 1;
-    b = x;
-    assert(b != 0 || x == 0);
-}
-"""
-
-LIVE_PREDICATES = """
-main
-a == 0, b != 0, x == 0
-"""
-
-
-def test_live_predicates_prune_dead_slots():
-    # {a==0} is overwritten at `a = 1` before anything can observe it, so
-    # its slot at `a = x + 1` (a real cube search: the WP `x + 1 == 0`
-    # is not syntactically a candidate) is dead:
-    # it must become unknown() and skip the search.
-    program, tool, bp = _abstract(LIVE_SOURCE, LIVE_PREDICATES)
-    printed = print_bool_program(bp)
-    assert tool.analysis is not None
-    assert tool.analysis.stats.predicates_skipped_dead > 0
-    assert "{a==0} = unknown()" in printed
-
-    _, off_tool, off_bp = _abstract(
-        LIVE_SOURCE, LIVE_PREDICATES, live_predicates=False
-    )
-    off_printed = print_bool_program(off_bp)
-    assert "{a==0} = unknown()" not in off_printed
-    # Pruning must not change the model-checking verdict.
-    assert (
-        Bebop(bp).run().error_reached == Bebop(off_bp).run().error_reached
-    )
-    # The dead slots' cube searches were skipped, not just rewritten.
-    assert tool.stats.prover_calls < off_tool.stats.prover_calls
-
-
-def test_live_predicates_keep_observed_slots():
-    program, tool, bp = _abstract(LIVE_SOURCE, LIVE_PREDICATES)
-    liveness = tool.analysis.liveness("main")
-    assert liveness is not None
-    func = program.functions["main"]
-    assign_b = func.body[3]  # b = x — {b!=0} is read by the assert below
-    assert liveness.is_live(assign_b, "b!=0")
-    # {a==0} dies at `a = x + 1`: it is overwritten at `a = 1` before any
-    # observation point (the function-exit label anchor sits *after* the
-    # second write, so only the first write's slot is dead).
-    assign_a = func.body[0]  # a = x + 1
-    assert not liveness.is_live(assign_a, "a==0")
-    assign_a2 = func.body[2]  # a = 1 — live: the exit label observes it
-    assert liveness.is_live(assign_a2, "a==0")
-
-
 # -- intervals ----------------------------------------------------------------------
 
 LOOP_SOURCE = """
@@ -209,6 +135,8 @@ def test_interval_fixpoint_bounds_loop_counter():
 
 
 def test_interval_discharger_units():
+    # The discharger is off every production path (see its docstring);
+    # its unit test stays with it.
     discharger = IntervalDischarger()
 
     def decide(antecedent_texts, goal_text):
@@ -248,85 +176,6 @@ def test_newton_stall_interval_fallback_predicates():
     assert _interval_fallback_predicates(program, tool, predicates) == []
 
 
-# -- boolean-program dead-variable elimination --------------------------------------
-
-
-class KeyedChooser:
-    """Deterministic chooser keyed by *what* is being chosen rather than
-    by call order, so two structurally different translations of the same
-    program (e.g. before/after DCE) draw identical values for the choices
-    they share while skipped choices consume nothing."""
-
-    def __init__(self, seed):
-        self.seed = seed
-        self._counts = {}
-
-    def choose(self, stmt, what):
-        key = repr(what)
-        occurrence = self._counts.get(key, 0)
-        self._counts[key] = occurrence + 1
-        return bool(hash((self.seed, key, occurrence)) & 1)
-
-
-def _simulate(bool_program, seed, entry):
-    chooser = KeyedChooser(seed)
-    interp = BoolProgramInterpreter(bool_program, chooser=chooser)
-    # Formal parameter lists survive DCE (interface stability), so the
-    # keyed entry-argument draws line up between the two programs.
-    formals = bool_program.procedures[entry].formals
-    args = [chooser.choose(None, ("entry", entry, name)) for name in formals]
-    try:
-        interp.call(entry, args)
-    except BoolAssertionFailure as failure:
-        return ("assert", failure.stmt.source_sid, failure.stmt.comment)
-    except AssumeBlocked:
-        return ("blocked",)
-    except BoolInterpError:
-        return ("limit",)
-    return ("done",)
-
-
-@settings(max_examples=25, deadline=None)
-@given(index=st.integers(0, 5), seed=st.integers(0, 2**16))
-def test_bp_dce_preserves_simulation(index, seed):
-    """DCE'd boolean programs simulate identically: same outcome (normal
-    return / blocked assume / failing assert, by source site) under the
-    same keyed resolution of nondeterminism."""
-    bp, entry = _DCE_CASES[index]
-    slim, removed = eliminate_dead_variables(bp)
-    assert _simulate(bp, seed, entry) == _simulate(slim, seed, entry)
-
-
-def _dce_cases():
-    cases = []
-    generator = ProgramGenerator(seed="dce-roundtrip")
-    index = 0
-    while len(cases) < 6:
-        case = generator.generate(index)
-        index += 1
-        program = parse_c_program(case.source, name=case.name)
-        predicates = parse_predicate_file(case.predicate_text, program)
-        tool = C2bp(program, predicates, context=EngineContext(options=C2bpOptions()))
-        cases.append((tool.run(), case.entry))
-    return cases
-
-
-_DCE_CASES = _dce_cases()
-
-
-def test_bp_dce_removes_dead_variable():
-    # {a==0} is dead in the liveness example: its boolean variable is
-    # written but never read, so DCE must drop it.
-    _, _, bp = _abstract(LIVE_SOURCE, LIVE_PREDICATES, live_predicates=False)
-    assert "{a==0}" in print_bool_program(bp)
-    slim, removed = eliminate_dead_variables(bp)
-    assert removed >= 1
-    assert "{a==0}" not in print_bool_program(slim)
-    assert (
-        Bebop(bp).run().error_reached == Bebop(slim).run().error_reached
-    )
-
-
 # -- cross-iteration abstraction reuse ----------------------------------------------
 
 REFINE_SOURCE = """
@@ -345,13 +194,15 @@ void main(int x) {
 """
 
 
-@pytest.mark.parametrize("live_predicates", [True, False])
+@pytest.mark.parametrize("syntactic_heuristics", [True, False])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_reuse_across_cegar_iterations(jobs, live_predicates):
-    # With liveness off the pool path ships enforce computations to the
-    # workers too, and records their results on the way back.
+def test_reuse_across_cegar_iterations(jobs, syntactic_heuristics):
+    # The pool path ships enforce computations to the workers too, and
+    # records their results on the way back.  Syntactic heuristics are
+    # part of the statement key: with them off every predicate update is
+    # a real cube search, and the replayed translations must still match.
     program = parse_c_program(REFINE_SOURCE, name="refine")
-    options = C2bpOptions(jobs=jobs, live_predicates=live_predicates)
+    options = C2bpOptions(jobs=jobs, syntactic_heuristics=syntactic_heuristics)
     with EngineContext(options=options) as context:
         result = cegar_loop(program, max_iterations=6, context=context)
     assert result.verdict == "safe"
@@ -362,10 +213,25 @@ def test_reuse_across_cegar_iterations(jobs, live_predicates):
     assert stats.c2bp_stmts_reused > 0
     assert stats.c2bp_stmts_retranslated > 0
 
-    # The analysis passes must not change the verdict.
-    off = cegar_loop(
-        program,
-        max_iterations=6,
-        context=EngineContext(options=C2bpOptions(use_analysis=False)),
-    )
-    assert off.verdict == result.verdict
+    # The last iteration, assembled partly from cached statements, prints
+    # the bytes of a fresh serial abstraction over the same predicates.
+    fresh_options = C2bpOptions(jobs=1, syntactic_heuristics=syntactic_heuristics)
+    with EngineContext(options=fresh_options) as fresh_context:
+        fresh = C2bp(program, result.predicates, context=fresh_context).run()
+    assert print_bool_program(result.boolean_program) == print_bool_program(fresh)
+
+
+def test_reuse_engages_on_floppy_irp():
+    # The multi-iteration Table-1 run: unchanged statements are replayed
+    # from the cache and the mod/ref touch memo answers repeat queries.
+    driver = get_driver("floppy")
+    spec = SafetySpec.complete_exactly_once("IoCompleteRequest")
+    with EngineContext(options=C2bpOptions(jobs=1)) as context:
+        result = check_property(
+            driver.source, spec, entry=driver.entry, max_iterations=8,
+            context=context,
+        )
+    assert result.verdict == driver.expected["irp"]
+    assert result.iterations >= 2
+    assert context.analysis_stats.c2bp_stmts_reused > 0
+    assert context.analysis_stats.modref_summary_hits > 0

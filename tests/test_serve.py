@@ -107,7 +107,7 @@ def test_stats_json_schema(study_files, tmp_path):
     )
     assert code == 0
     stats = json.load(open(stats_file))
-    assert stats["schema_version"] == 3
+    assert stats["schema_version"] == 4
     store = stats["persistent_cache"]
     for field in ("hits", "misses", "writes", "evictions",
                   "cache_corrupt_records", "namespaces", "root"):
@@ -128,14 +128,14 @@ def test_pool_and_cache_lifecycle(study_files, tmp_path):
             C2bp(program, predicates, context=context).run()
         )
     cache_dir = str(tmp_path / "cache")
-    # "requery" turns the interval discharger off: answer-invisible, but
-    # part of the statement keys' options fingerprint, so every statement
-    # misses the statement cache and goes to the workers, whose prover
-    # queries then hit the store populated by the cold run.
+    # "requery" turns the cone of influence off: the same bytes on this
+    # program, but part of the statement keys' options fingerprint, so
+    # every statement misses the statement cache and goes to the workers,
+    # whose prover queries then hit the store populated by the cold run.
     for run, overrides in (
         ("cold", {}),
         ("warm", {}),
-        ("requery", {"intervals": False}),
+        ("requery", {"cone_of_influence": False}),
     ):
         options = C2bpOptions(jobs=2, cache_dir=cache_dir, **overrides)
         with EngineContext(options=options) as context:

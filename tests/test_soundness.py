@@ -160,15 +160,17 @@ def test_assert_does_not_derail_replay():
     assert_sound(report)
 
 
-# -- known failures ------------------------------------------------------------------
+# -- reads through null pointers -------------------------------------------------------
 
 
 # The fixed fuzz batch's case ``fuzz-bench-6`` (generator seed "bench",
-# index 6) as the delta-debugging shrinker leaves it: after ``pt = &a``
-# the abstraction sets ``{*pt != 0}`` to true while the concrete ``*pt``
-# (that is, ``a``) is 0.  Untriaged; when the abstraction is fixed this
-# test starts passing and the strict xfail turns it red, so the marker
-# has to go with the fix.
+# index 6) as the delta-debugging shrinker leaves it.  ``pt`` is null at
+# entry, so both predicates read through it.  Recording each of them as
+# undefined, and then as false, gave the replay an initial valuation no
+# state satisfies (``*pt == 0`` and ``*pt > a`` with ``a == 0``), from
+# which the abstraction validly concluded ``{*pt != 0}`` after
+# ``pt = &a``.  The replayer now records such reads under one fixed
+# completion (a phantom cell holding 0), and the case replays clean.
 FUZZ_BENCH_6_SOURCE = """int g;
 void main(void) {
     int a, b, c;
@@ -182,13 +184,31 @@ void main(void) {
 FUZZ_BENCH_6_PREDICATES = "main\n*pt != 0, *pt <= a\n"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="untriaged soundness failure fuzz-bench-6 at pt = &a;",
-)
 def test_fuzz_bench_6_address_of_uninitialized_local():
     assert_sound(replay(FUZZ_BENCH_6_SOURCE, FUZZ_BENCH_6_PREDICATES))
+
+
+def test_replay_completes_null_reads_with_phantom_zero_cell():
+    program = parse_c_program(FUZZ_BENCH_6_SOURCE)
+    predicates = parse_predicate_file(
+        "main\n*pt != 0, *pt <= a, pt == 0, *pt == a\n", program
+    )
+    tool = C2bp(program, predicates)
+    replayer = TraceReplayer(tool, tool.run())
+    assert_sound(replayer.run())
+    entry = next(e for e in replayer._events if e.kind == "entry")
+    # Reads through the null pt see one cell that holds 0 and is not a,
+    # so the entry valuation is that of a real state ...
+    assert entry.post_vals == {
+        "*pt!=0": False,
+        "*pt<=a": True,
+        "pt==0": True,
+        "*pt==a": True,
+    }
+    # ... and once pt points to a, the predicates read a itself.
+    stmt = next(e for e in replayer._events if e.kind == "stmt")
+    assert stmt.post_vals["pt==0"] is False
+    assert stmt.post_vals["*pt==a"] is True
 
 
 # -- the partition example with a real heap ---------------------------------------

@@ -12,8 +12,8 @@
   property the AllSAT catalog relies on).
 - **DBM units** — incremental closure equals from-scratch closure,
   push/pop restores every bound, negative cycles flip the flag.
-- **Wiring** — the engine's counters engage on a real abstraction, the
-  discharger's distinct stats key, auto ``--jobs`` resolution, and an
+- **Wiring** — the engine's counters engage on a real abstraction, auto
+  ``--jobs`` resolution, and an
   injected-engine-bug meta-test proving the fuzz oracle's one-shot
   reference comparison (whose theory checks are the stateless
   ``check_literals``) catches a corrupted fast path.
@@ -25,15 +25,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import C2bp, parse_c_program, parse_predicate_file
-from repro.cfront import parse_expression
 from repro.core import C2bpOptions
-from repro.core.cubes import CubeSearch
 from repro.core import pool as pool_module
 from repro.engine import EngineContext
 from repro.fuzz.gen import ProgramGenerator
 from repro.fuzz.oracle import KIND_ABSTRACTION, SoundnessOracle
 from repro.programs import get_program
-from repro.prover import Prover
 from repro.prover import theory as theory_module
 from repro.prover.dbm import ZERO, DifferenceBounds
 from repro.prover.linarith import LinearSolver, linearize
@@ -345,39 +342,11 @@ def test_abstraction_counters_engage():
         "theory_delta_queries",
         "theory_cache_hits",
         "allsat_sweep_theory_deltas",
-        "queries_discharged",
         "time_in_theory_closure",
         "time_in_theory_fallback",
     ):
         assert key in snapshot
     assert "time_in_theory_cache" not in snapshot
-
-
-class _AlwaysDischarger:
-    def __init__(self):
-        self.calls = 0
-
-    def decide(self, exprs, goal):
-        self.calls += 1
-        return True
-
-
-def test_discharged_queries_use_distinct_stats_key():
-    """A discharger hit is tallied under ``queries_discharged`` and never
-    reaches the prover: no query, no call, no generalize time."""
-    prover = Prover()
-    search = CubeSearch(
-        prover,
-        C2bpOptions(syntactic_heuristics=False),
-        discharger=_AlwaysDischarger(),
-    )
-    session = prover.cube_session([parse_expression("x > 0")], parse_expression("x > 1"))
-    result, core = search._decide(session, ((0, True),))
-    assert result is True and core is None
-    assert prover.stats.queries_discharged == 1
-    assert prover.stats.queries == 0
-    assert prover.stats.calls == 0
-    assert prover.stats.time_in_generalize == 0.0
 
 
 # -- auto jobs ------------------------------------------------------------------------
